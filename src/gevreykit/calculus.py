@@ -7,14 +7,13 @@ word-ordered products.  The basis is fixed so that on SU(2) the flow of
 X_3 is the alpha Euler axis and [X_1, X_2] = X_3.
 """
 
-import itertools
 import math
 
 import numpy as np
 
 from .errors import ContractViolation, DomainError
 from .fourier import CoefficientField, plancherel_norm
-from .quadrature import tree_sum
+from .quadrature import tree_sum, two_j_of
 
 
 class Symbol(CoefficientField):
@@ -46,21 +45,15 @@ def vector_field_symbol(catalog, j):
     n = algebra_dim(spec)
     if not 1 <= j <= n:
         raise DomainError("basis index %d outside 1..%d" % (j, n))
-    sym = Symbol(catalog)
-    for rep in catalog:
-        if spec.family == "torus":
-            sym[rep.label] = np.array([[1j * rep.label[j - 1]]])
-        else:
-            two_j = rep.label[0] if spec.family == "su2" else 2 * rep.label[0]
-            sym[rep.label] = -1j * _angular_momentum(two_j)[j - 1]
-    return sym
+    if spec.family == "torus":
+        k = np.array(catalog.labels)[:, j - 1]
+        return Symbol(catalog, data=1j * k, present=np.ones(len(catalog), dtype=bool))
+    return Symbol(catalog, {r.label: -1j * _angular_momentum(two_j_of(spec, r))[j - 1]
+                            for r in catalog})
 
 
 def identity_symbol(catalog):
-    sym = Symbol(catalog)
-    for rep in catalog:
-        sym[rep.label] = np.eye(rep.dim, dtype=complex)
-    return sym
+    return Symbol.identity(catalog)
 
 
 def canonical_word(alpha):
@@ -85,38 +78,26 @@ def word_to_alpha(word, n):
 def alpha_symbol(word, catalog):
     """Word-ordered product of first-order symbols; empty word is identity."""
     sym = identity_symbol(catalog)
-    firsts = {}
+    firsts = {letter: vector_field_symbol(catalog, letter) for letter in set(word)}
     for letter in word:
-        if letter not in firsts:
-            firsts[letter] = vector_field_symbol(catalog, letter)
-        step = firsts[letter]
-        for rep in catalog:
-            sym[rep.label] = sym[rep.label] @ step[rep.label]
+        sym = Symbol(catalog, {r.label: sym[r.label] @ firsts[letter][r.label] for r in catalog})
     return sym
 
 
 def apply_symbol(sym, coeffs):
     """Blockwise sym[xi] @ coeffs[xi]; spectral action of the operator."""
-    if sym.catalog is not coeffs.catalog and [r.label for r in sym.catalog] != [
-        r.label for r in coeffs.catalog
-    ]:
+    if sym.catalog is not coeffs.catalog and sym.catalog.labels != coeffs.catalog.labels:
         raise ContractViolation("symbol and field live on different catalogs")
-    out = CoefficientField(coeffs.catalog)
-    for label in coeffs.labels():
-        out[label] = sym[label] @ coeffs.blocks[label]
-    return out
+    return CoefficientField(coeffs.catalog, {l: sym[l] @ coeffs[l] for l in coeffs.labels()})
 
 
 def laplacian_power_apply(coeffs, k):
     """Multiply each block by |xi|^(2k); kills the trivial class for k >= 1."""
     if k < 0:
         raise DomainError("k must be >= 0")
-    out = CoefficientField(coeffs.catalog)
-    for label in coeffs.labels():
-        rep = coeffs.catalog.lookup(label)
-        factor = 1.0 if k == 0 else rep.lambda_sq**k
-        if factor != 0.0:
-            out[label] = factor * coeffs.blocks[label]
+    factor = np.array([lam**k for lam in coeffs.catalog.lambda_sq.tolist()])
+    out = coeffs.class_scaled(factor)
+    out.present &= factor != 0.0
     return out
 
 
@@ -127,14 +108,8 @@ def p_alpha_symbol(word, k, catalog):
     """
     if 2 * k <= len(word):
         raise DomainError("need 2k > |alpha| (got 2k=%d, |alpha|=%d)" % (2 * k, len(word)))
-    base = alpha_symbol(word, catalog)
-    sym = Symbol(catalog)
-    for rep in catalog:
-        if rep.lambda_sq == 0.0:
-            sym[rep.label] = np.zeros((rep.dim, rep.dim), dtype=complex)
-        else:
-            sym[rep.label] = rep.lambda_sq ** (-k) * base[rep.label]
-    return sym
+    factor = [lam ** (-k) if lam != 0.0 else 0.0 for lam in catalog.lambda_sq.tolist()]
+    return alpha_symbol(word, catalog).class_scaled(factor)
 
 
 def sobolev_norm(coeffs, t):
@@ -178,10 +153,5 @@ def first_order_constant(catalog):
     """C0 = max_j sup_xi ||dxi(X_j)||_op / <xi> + 1, computed from the catalog."""
     from .fourier import operator_norm
 
-    n = algebra_dim(catalog.spec)
-    best = 0.0
-    for j in range(1, n + 1):
-        sym = vector_field_symbol(catalog, j)
-        for rep in catalog:
-            best = max(best, operator_norm(sym[rep.label]) / rep.bracket)
-    return best + 1.0
+    syms = [vector_field_symbol(catalog, j) for j in range(1, algebra_dim(catalog.spec) + 1)]
+    return max(operator_norm(sym[r.label]) / r.bracket for sym in syms for r in catalog) + 1.0

@@ -193,12 +193,9 @@ def cmd_classify(args):
     dpath = _opt(args, "decay_csv")
     if dpath:
         _write_text(dpath, decay_csv(coeffs))
-    if side == "fourier":
-        verdict = fourier_side_test(coeffs, s, mode)
-        out = verdict_to_json(verdict)
-        passed = verdict.passed
-    elif side == "space":
-        verdict = space_side_test(coeffs, s, mode=mode)
+    if side in ("fourier", "space"):
+        test = fourier_side_test if side == "fourier" else space_side_test
+        verdict = test(coeffs, s, mode=mode)
         out = verdict_to_json(verdict)
         passed = verdict.passed
     elif side == "both":
@@ -252,6 +249,8 @@ def _sphere_grid_values(text, grid):
         flat = np.array([complex(float(r[2]), float(r[3])) for r in body])
     except (ValueError, IndexError) as exc:
         raise DataError("bad sphere row: %s" % exc)
+    if not np.isfinite(flat).all():
+        raise DataError("sphere CSV holds a non-finite value")
     return flat.reshape(len(grid.beta), len(grid.alpha))
 
 

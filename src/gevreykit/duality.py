@@ -17,15 +17,16 @@ import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from .errors import DomainError, IllPairedError
-from .fourier import CoefficientField, hs_norm
+from .fourier import CoefficientField, _require_same_catalog
 from .gevrey import (
     GevreyVerdict,
     HS_FLOOR,
     _degenerate_verdict,
     _ls_line,
     _norm_mode,
-    _thirds,
+    _tertile_slopes,
     bracket_profile,
+    profile_field,
 )
 from .quadrature import tree_sum
 
@@ -45,36 +46,17 @@ def growth_sequence(catalog, s, B, profile="diagonal", seed=0):
     """
     if s <= 0 or B <= 0:
         raise DomainError("s and B must be positive")
-    rng = np.random.default_rng(seed)
-    out = CoefficientField(catalog)
-    for rep in catalog:
-        log_hs = B * rep.bracket ** (1.0 / s)
-        if log_hs > 700.0:
-            raise DomainError(
-                "growth e^%.1f overflows at bracket %.1f; reduce the cutoff"
-                % (log_hs, rep.bracket)
-            )
-        hs = math.exp(log_hs)
-        d = rep.dim
-        if profile == "diagonal":
-            mat = (hs / math.sqrt(d)) * np.eye(d, dtype=complex)
-        elif profile == "dense":
-            mat = np.full((d, d), hs / d, dtype=complex)
-        elif profile == "random_phase":
-            mat = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            mat *= hs / np.linalg.norm(mat)
-        else:
-            raise DomainError("unknown profile %r" % (profile,))
-        out[rep.label] = mat
-    return out
+    log_hs = [B * b ** (1.0 / s) for b in catalog.brackets.tolist()]
+    for value, bracket in zip(log_hs, catalog.brackets.tolist()):
+        if value > 700.0:
+            raise DomainError("growth e^%.1f overflows at bracket %.1f; reduce the cutoff"
+                              % (value, bracket))
+    return profile_field(catalog, log_hs, profile, seed)
 
 
 def delta_sequence(catalog):
     """Coefficients of the delta distribution at the unit: identity blocks."""
-    out = CoefficientField(catalog)
-    for rep in catalog:
-        out[rep.label] = np.eye(rep.dim, dtype=complex)
-    return out
+    return CoefficientField.identity(catalog)
 
 
 def ultra_membership_test(seq, s, mode):
@@ -85,10 +67,11 @@ def ultra_membership_test(seq, s, mode):
     if s < 1:
         raise DomainError("dual tests require s >= 1 (duality range restriction)")
     mode = _norm_mode(mode)
-    degenerate = _degenerate_verdict(seq, s, mode)
+    hs = seq.hs_norms()
+    degenerate = _degenerate_verdict(seq.catalog, hs, s, mode)
     if degenerate is not None:
         return degenerate
-    brackets, logs, labels = bracket_profile(seq)
+    brackets, logs, labels = bracket_profile(seq, hs)
     x = brackets ** (1.0 / s)
     if len(x) < 9:
         slope = _ls_line(x, logs)[0] if len(x) >= 2 else 0.0
@@ -96,11 +79,7 @@ def ultra_membership_test(seq, s, mode):
         return GevreyVerdict(mode=mode, s=s, passed=passed,
                              margin=GROWTH_EPS - slope,
                              flags=("short_spectrum",))
-    lo_sl, mid_sl, top_sl = _thirds(len(x))
-    g_lo = _ls_line(x[lo_sl], logs[lo_sl])[0]
-    slope_mid, icpt_mid, _ = _ls_line(x[mid_sl], logs[mid_sl])
-    g_mid = slope_mid
-    g_top = _ls_line(x[top_sl], logs[top_sl])[0]
+    (g_lo, g_mid, g_top), top_labels, excess = _tertile_slopes(x, logs, labels)
     extras = {"g_lower": g_lo, "g_middle": g_mid, "g_top": g_top}
     if mode == "roumieu":
         # tail growth slope must decay: beaten by every exponential
@@ -110,8 +89,7 @@ def ultra_membership_test(seq, s, mode):
         ceiling = BEURLING_DUAL_RATIO * max(g_mid, GROWTH_EPS)
     margin = ceiling - g_top
     passed = margin >= 0.0
-    excess = logs[top_sl] - (slope_mid * x[top_sl] + icpt_mid)
-    witness = labels[top_sl][int(np.argmax(excess))]
+    witness = top_labels[int(np.argmax(excess))]
     return GevreyVerdict(
         mode=mode, s=s, passed=passed, margin=margin,
         witness_label=None if passed else witness, extras=extras,
@@ -122,16 +100,9 @@ def alpha_dual_series_probe(seq, s, B):
     """Partial sums of sum_xi e^{-B <xi>^(1/s)} ||v_xi||_HS in catalog order."""
     if B <= 0:
         raise DomainError("B must be positive")
-    terms = []
-    for rep in seq.catalog:
-        if rep.label not in seq.blocks:
-            continue
-        hs = hs_norm(seq.blocks[rep.label])
-        if hs <= 0.0:
-            terms.append(0.0)
-            continue
-        terms.append(math.exp(math.log(hs) - B * rep.bracket ** (1.0 / s)))
-    return np.cumsum(terms)
+    hs = seq.hs_norms()[seq.present]
+    with np.errstate(divide="ignore"):
+        return np.cumsum(np.exp(np.log(hs) - B * seq.catalog.brackets[seq.present] ** (1.0 / s)))
 
 
 @dataclass(frozen=True)
@@ -143,20 +114,15 @@ class PairingDiagnostic:
 
 
 def _pairing_terms(seq, coeffs):
-    labels = [
-        r.label
-        for r in seq.catalog
-        if r.label in seq.blocks or r.label in coeffs.blocks
-    ]
-    terms = np.array(
-        [
-            seq.catalog.lookup(l).dim * np.trace(coeffs[l] @ seq[l])
-            for l in labels
-        ],
-        dtype=complex,
-    )
-    brackets = np.array([seq.catalog.lookup(l).bracket for l in labels])
-    return terms, brackets
+    """d_xi Tr(phi_hat(xi) v_xi) and the bracket of every class either holds."""
+    _require_same_catalog(seq, coeffs)
+    cat = seq.catalog
+    row, col, d = cat.entry_index
+    # Tr(a b) sums a_mn b_nm, and entry (n, m) sits (n - m)(d - 1) after (m, n)
+    transposed = np.arange(cat.offsets[-1]) + (col - row) * (d - 1)
+    keep = seq.present | coeffs.present
+    terms = cat.dims * np.add.reduceat(coeffs.data * seq.data[transposed], cat.offsets[:-1])
+    return terms[keep], cat.brackets[keep]
 
 
 def pairing_diagnostic(seq, coeffs):
@@ -191,18 +157,14 @@ def pair(seq, coeffs):
 
 def _seminorm_log(coeffs, epsilon, s, k_cap):
     """log of sup_k eps^k (k!)^(-s) * l1-bound of ||(-L)^(k/2) phi||_inf."""
-    data = [
-        (rep, hs_norm(coeffs.blocks[rep.label]))
-        for rep in coeffs.catalog
-        if rep.label in coeffs.blocks
-    ]
-    data = [(r, hs) for r, hs in data if hs > HS_FLOOR]
-    if not data:
+    cat = coeffs.catalog
+    hs = coeffs.hs_norms()
+    idx = np.flatnonzero(hs > HS_FLOOR)
+    if not len(idx):
         return -math.inf
-    base = np.array([1.5 * math.log(r.dim) + math.log(hs) for r, hs in data])
-    log_abs = np.array(
-        [0.5 * math.log(r.lambda_sq) if r.lambda_sq > 0 else -math.inf for r, _ in data]
-    )
+    base = 1.5 * np.log(cat.dims[idx]) + np.log(hs[idx])
+    with np.errstate(divide="ignore"):
+        log_abs = 0.5 * np.log(cat.lambda_sq[idx])
     best = -math.inf
     for k in range(k_cap + 1):
         if k == 0:
@@ -273,7 +235,7 @@ def perfectness_roundtrip(coeffs, s, b_grid=(0.25, 0.5), points=None):
         for label in coeffs.labels():
             rep = coeffs.catalog.lookup(label)
             xi = rep_matrix(coeffs.catalog.spec, rep, x)
-            acc.append(rep.dim * np.trace(coeffs.blocks[label] @ xi))
+            acc.append(rep.dim * np.trace(coeffs[label] @ xi))
         resynth[i] = tree_sum(np.array(acc, dtype=complex)) if acc else 0.0
     mismatch = float(np.abs(direct - resynth).max()) if len(points) else 0.0
     return {

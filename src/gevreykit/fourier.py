@@ -10,83 +10,117 @@ contraction once per class.
 """
 
 import math
+from types import MappingProxyType
 
 import numpy as np
 
 from .errors import ContractViolation, DomainError
 from .parallel import rep_map
-from .quadrature import band_for_catalog, tree_sum, rep_matrix, wigner_d_cached
+from .quadrature import band_for_catalog, rep_matrix, tree_sum, two_j_of, wigner_d_cached
 
 
 class CoefficientField:
     """Finite map from catalog classes to coefficient matrices.
 
-    Missing labels mean the zero matrix.  Two fields are compatible only
-    when built on the same catalog; cross-catalog arithmetic is refused
+    Storage is packed: ``data`` is one flat complex array holding class
+    i's d x d block row-major at ``catalog.offsets[i]``, and ``present``
+    marks the classes that hold a block; the entries of absent classes
+    are zero.  Missing labels mean the zero matrix.  ``field[label]`` and
+    the read-only ``blocks`` mapping hand out read-only views; write
+    through ``field[label] = mat``.  Two fields are compatible only when
+    built on the same catalog; cross-catalog arithmetic is refused
     rather than zero-padded.
     """
 
-    def __init__(self, catalog, blocks=None):
+    def __init__(self, catalog, blocks=None, data=None, present=None):
         self.catalog = catalog
-        self.blocks = {}
-        if blocks:
-            for label, mat in blocks.items():
-                self[label] = mat
+        self.data = np.zeros(catalog.offsets[-1], dtype=complex) if data is None else data
+        self.present = np.zeros(len(catalog), dtype=bool) if present is None else present
+        for label, mat in (blocks or {}).items():
+            self[label] = mat
+
+    @classmethod
+    def identity(cls, catalog):
+        """The identity matrix on every class."""
+        row, col, _ = catalog.entry_index
+        present = np.ones(len(catalog), dtype=bool)
+        return cls(catalog, data=(row == col).astype(complex), present=present)
 
     def __setitem__(self, label, mat):
-        rep = self.catalog.lookup(label)
+        i = self.catalog.position(label)
+        d = int(self.catalog.dims[i])
         mat = np.asarray(mat, dtype=complex)
-        if mat.shape != (rep.dim, rep.dim):
+        if mat.shape != (d, d):
             raise ContractViolation(
-                "matrix for %r must be %dx%d, got %r"
-                % (tuple(label), rep.dim, rep.dim, mat.shape)
+                "matrix for %r must be %dx%d, got %r" % (tuple(label), d, d, mat.shape)
             )
-        self.blocks[tuple(label)] = mat
+        self.data[self.catalog.offsets[i] : self.catalog.offsets[i + 1]] = mat.ravel()
+        self.present[i] = True
 
     def __getitem__(self, label):
-        rep = self.catalog.lookup(label)
-        label = tuple(label)
-        if label in self.blocks:
-            return self.blocks[label]
-        return np.zeros((rep.dim, rep.dim), dtype=complex)
+        i = self.catalog.position(label)
+        d = int(self.catalog.dims[i])
+        if not self.present[i]:
+            return np.zeros((d, d), dtype=complex)
+        view = self.data[self.catalog.offsets[i] : self.catalog.offsets[i + 1]].reshape(d, d)
+        view.flags.writeable = False
+        return view
 
     def __contains__(self, label):
-        return tuple(label) in self.blocks
+        return self.catalog.contains(label) and bool(self.present[self.catalog.position(label)])
+
+    @property
+    def blocks(self):
+        """Read-only mapping from stored labels to their blocks, built per
+        access; loops should index the field itself."""
+        return MappingProxyType({label: self[label] for label in self.labels()})
 
     def labels(self):
         """Labels with stored blocks, in catalog order."""
-        return [r.label for r in self.catalog if r.label in self.blocks]
+        return [self.catalog.labels[i] for i in np.flatnonzero(self.present).tolist()]
+
+    def _packed(self, data, present):
+        data = np.where(np.repeat(present, np.diff(self.catalog.offsets)), data, 0)
+        return type(self)(self.catalog, data=data, present=present)
 
     def copy(self):
-        return CoefficientField(
-            self.catalog, {k: v.copy() for k, v in self.blocks.items()}
-        )
+        return self._packed(self.data, self.present.copy())
 
     def scaled(self, c):
-        return CoefficientField(
-            self.catalog, {k: c * v for k, v in self.blocks.items()}
-        )
+        return self._packed(c * self.data, self.present.copy())
+
+    def class_scaled(self, factor):
+        """Every class's block times that class's entry of ``factor``."""
+        return self._packed(self.data * np.repeat(factor, np.diff(self.catalog.offsets)),
+                            self.present.copy())
 
     def add(self, other, a=1.0, b=1.0):
         _require_same_catalog(self, other)
-        out = CoefficientField(self.catalog)
-        for label in set(self.blocks) | set(other.blocks):
-            out[label] = a * self[label] + b * other[label]
-        return out
+        return self._packed(a * self.data + b * other.data, self.present | other.present)
 
     def hs_norms(self):
-        """Hilbert-Schmidt norm per catalog class, in catalog order."""
-        out = np.zeros(len(self.catalog))
-        for i, rep in enumerate(self.catalog):
-            if rep.label in self.blocks:
-                out[i] = np.linalg.norm(self.blocks[rep.label])
-        return out
+        """hs_norm of every class's block in catalog order, 0 where absent;
+        1 x 1 blocks take its floating-point steps array-wide, bit for bit."""
+        cat = self.catalog
+        z = self.data[cat.offsets[:-1]]
+        peak = np.abs(z)
+        ok = (peak > 0.0) & np.isfinite(peak)
+        z = z / np.where(ok, peak, 1.0)
+        out = np.where(ok, peak * np.sqrt(z.real * z.real + z.imag * z.imag), peak)
+        for i in np.flatnonzero(self.present & (cat.dims > 1)).tolist():
+            out[i] = hs_norm(self[cat.labels[i]])
+        return np.where(self.present, out, 0.0)
+
+
+def ranges(starts, sizes):
+    """np.concatenate([np.arange(a, a + n) for a, n in zip(starts, sizes)])."""
+    sizes = np.asarray(sizes)
+    return np.arange(sizes.sum()) + np.repeat(np.asarray(starts) - np.cumsum(sizes) + sizes, sizes)
 
 
 def _require_same_catalog(a, b):
     if a.catalog is not b.catalog and (
-        a.catalog.spec != b.catalog.spec
-        or [r.label for r in a.catalog] != [r.label for r in b.catalog]
+        a.catalog.spec != b.catalog.spec or a.catalog.labels != b.catalog.labels
     ):
         raise ContractViolation("coefficient fields live on different catalogs")
 
@@ -110,8 +144,9 @@ def _phase_table(grid, two_band):
     return ea, eg
 
 
-def _two_j_of(spec, rep):
-    return rep.label[0] if spec.family == "su2" else 2 * rep.label[0]
+def _torus_index(catalog, grid):
+    """FFT-grid index of every torus class, in catalog order."""
+    return tuple((np.array(catalog.labels) % len(grid.alpha)).T)
 
 
 def forward_transform(grid, samples, catalog):
@@ -123,14 +158,11 @@ def forward_transform(grid, samples, catalog):
             "sample shape %r does not match grid shape %r" % (samples.shape, grid.shape)
         )
     spec = catalog.spec
-    out = CoefficientField(catalog)
     if spec.family == "torus":
-        n = len(grid.alpha)
         spectrum = np.fft.fftn(samples) / samples.size
-        for rep in catalog:
-            idx = tuple(k % n for k in rep.label)
-            out[rep.label] = np.array([[spectrum[idx]]])
-        return out
+        return CoefficientField(catalog, data=spectrum[_torus_index(catalog, grid)],
+                                present=np.ones(len(catalog), dtype=bool))
+    out = CoefficientField(catalog)
     two_band = 2 * grid.band if spec.family == "so3" else grid.band
     ea, eg = _phase_table(grid, two_band)
     # t1[m, b, g] = mean over alpha of e^{i m alpha} f;  t2 adds the gamma mean
@@ -140,7 +172,7 @@ def forward_transform(grid, samples, catalog):
     wb = 0.5 * grid.beta_weights
 
     def one_rep(rep):
-        two_j = _two_j_of(spec, rep)
+        two_j = two_j_of(spec, rep)
         sel = two_band + two_j - 2 * np.arange(two_j + 1)
         block = np.einsum(
             "bmn,mbn->mn", wb[:, None, None] * dstack[two_j], t2[sel][:, :, sel]
@@ -159,11 +191,8 @@ def inverse_on_grid(coeffs, grid):
     _check_band(grid, coeffs.catalog)
     spec = coeffs.catalog.spec
     if spec.family == "torus":
-        n = len(grid.alpha)
         spectrum = np.zeros(grid.shape, dtype=complex)
-        for label in coeffs.labels():
-            idx = tuple(k % n for k in label)
-            spectrum[idx] += coeffs.blocks[label][0, 0]
+        spectrum[_torus_index(coeffs.catalog, grid)] = coeffs.data
         return np.fft.ifftn(spectrum) * spectrum.size
     two_band = 2 * grid.band if spec.family == "so3" else grid.band
     ea, eg = _phase_table(grid, two_band)
@@ -172,11 +201,11 @@ def inverse_on_grid(coeffs, grid):
     acc = np.zeros((2 * two_band + 1, nb, 2 * two_band + 1), dtype=complex)
     for label in coeffs.labels():
         rep = coeffs.catalog.lookup(label)
-        two_j = _two_j_of(spec, rep)
+        two_j = two_j_of(spec, rep)
         sel = two_band + two_j - 2 * np.arange(two_j + 1)
         # Tr(xi(x) f_hat) pairs entry (m,n) of xi with entry (n,m) of f_hat
         contrib = rep.dim * np.einsum(
-            "bmn,nm->mbn", dstack[two_j], coeffs.blocks[label]
+            "bmn,nm->mbn", dstack[two_j], coeffs[label]
         )
         acc[np.ix_(sel, range(nb), sel)] += contrib
     return np.einsum("ma,mbn,ng->abg", np.conj(ea), acc, np.conj(eg))
@@ -192,7 +221,7 @@ def inverse_transform(coeffs, points):
         for j, label in enumerate(labels):
             rep = coeffs.catalog.lookup(label)
             xi = rep_matrix(spec, rep, x)
-            terms[j] = rep.dim * np.trace(xi @ coeffs.blocks[label])
+            terms[j] = rep.dim * np.trace(xi @ coeffs[label])
         values[i] = tree_sum(terms) if len(terms) else 0.0
     return values
 
@@ -200,14 +229,8 @@ def inverse_transform(coeffs, points):
 def plancherel_inner(f, g):
     """Plancherel inner product sum_xi d_xi Tr(f_hat g_hat*)."""
     _require_same_catalog(f, g)
-    labels = [r.label for r in f.catalog if r.label in f.blocks or r.label in g.blocks]
-    terms = np.array(
-        [
-            f.catalog.lookup(l).dim * np.trace(f[l] @ g[l].conj().T)
-            for l in labels
-        ],
-        dtype=complex,
-    )
+    terms = f.catalog.dims * np.add.reduceat(f.data * g.data.conj(), f.catalog.offsets[:-1])
+    terms = terms[f.present | g.present]
     return tree_sum(terms) if len(terms) else 0.0 + 0.0j
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from .errors import DomainError, InsufficientDataError
-from .fourier import CoefficientField, hs_norm
+from .fourier import CoefficientField, ranges
 
 HS_FLOOR = 1e-290
 S_GRID = np.round(np.arange(0.2, 5.0 + 1e-9, 0.01), 10)
@@ -32,17 +32,24 @@ RHO_WINDOW_FACTOR = 1.35
 BEURLING_RHO_LOG_SLOPE = -0.25
 SATURATION_FRACTION = 0.95
 MIN_USABLE_K = 6
+PROFILES = ("diagonal", "dense", "random_phase")
+LOG_DBL_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
 class DecayModel:
-    """Fitted decay shape ||f_hat|| ~ K exp(-B <xi>^(1/s))."""
+    """Fitted decay shape ||f_hat|| ~ K exp(-B <xi>^(1/s)), kept as log K."""
 
     s: float
     B: float
-    K: float
+    log_K: float
     r2: float
     support: int
+
+    @property
+    def K(self):
+        """exp(log_K), or inf where that overflows."""
+        return math.inf if self.log_K > LOG_DBL_MAX else math.exp(self.log_K)
 
 
 @dataclass(frozen=True)
@@ -57,6 +64,46 @@ class GevreyVerdict:
     extras: dict = field(default_factory=dict, compare=False)
 
 
+def profile_field(catalog, log_hs, profile="diagonal", seed=0):
+    """Field with ||f_hat(xi)||_HS = exp(log_hs[xi]) per class.
+
+    Classes whose target norm underflows double precision are omitted.
+    ``diagonal`` puts hs/sqrt(d) on the diagonal, ``dense`` hs/d in
+    every entry, and ``random_phase`` a complex Gaussian block rescaled
+    to norm hs.  The Gaussians come from one seeded stream in catalog
+    order, per class d^2 real parts then d^2 imaginary parts, so a seed
+    fixes the field.
+    """
+    if profile not in PROFILES:
+        raise DomainError("unknown profile %r" % (profile,))
+    idx = np.flatnonzero(np.array(log_hs) >= math.log(HS_FLOOR))
+    # libm exp, not numpy's vectorised one, keeps the bits CPU-independent
+    hs = np.array([math.exp(log_hs[i]) for i in idx.tolist()])
+    d = catalog.dims[idx]
+    n = d * d
+    at = ranges(catalog.offsets[idx], n)
+    if profile == "diagonal":
+        row, col, _ = catalog.entry_index
+        values = np.where(row[at] == col[at], np.repeat(hs / np.sqrt(d), n), 0.0)
+    elif profile == "dense":
+        values = np.repeat(hs / d, n)
+    else:
+        start = np.cumsum(n) - n
+        draws = np.random.default_rng(seed).standard_normal(2 * n.sum())
+        real_at = ranges(2 * start, n)
+        values = draws[real_at] + 1j * draws[real_at + np.repeat(n, n)]
+        # np.linalg.norm per block: written out for 1 x 1, called otherwise
+        first = values[start]
+        norms = np.sqrt(first.real * first.real + first.imag * first.imag)
+        for k in np.flatnonzero(n > 1).tolist():
+            norms[k] = np.linalg.norm(values[start[k] : start[k] + n[k]])
+        values = values * np.repeat(hs / norms, n)
+    out = CoefficientField(catalog)
+    out.data[at] = values
+    out.present[idx] = True
+    return out
+
+
 def synthesize_gevrey(catalog, s, B, profile="diagonal", seed=0):
     """Field with ||f_hat(xi)||_HS = exp(-B <xi>^(1/s)) exactly per class.
 
@@ -65,48 +112,30 @@ def synthesize_gevrey(catalog, s, B, profile="diagonal", seed=0):
     """
     if s <= 0 or B <= 0:
         raise DomainError("s and B must be positive")
-    if profile not in ("diagonal", "dense", "random_phase"):
-        raise DomainError("unknown profile %r" % (profile,))
-    rng = np.random.default_rng(seed)
-    out = CoefficientField(catalog)
-    for rep in catalog:
-        log_hs = -B * rep.bracket ** (1.0 / s)
-        if log_hs < math.log(HS_FLOOR):
-            continue
-        hs = math.exp(log_hs)
-        d = rep.dim
-        if profile == "diagonal":
-            mat = (hs / math.sqrt(d)) * np.eye(d, dtype=complex)
-        elif profile == "dense":
-            mat = np.full((d, d), hs / d, dtype=complex)
-        else:
-            mat = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            mat *= hs / np.linalg.norm(mat)
-        out[rep.label] = mat
-    return out
+    log_hs = [-B * b ** (1.0 / s) for b in catalog.brackets.tolist()]
+    return profile_field(catalog, log_hs, profile, seed)
 
 
-def bracket_profile(coeffs):
+def bracket_profile(coeffs, hs=None):
     """Per-bracket max of the HS norms over nonzero classes.
 
     Returns (brackets, log_norms, labels) sorted by ascending bracket,
     with labels recording which class attained each maximum.  Classes
-    with norm at or below the underflow floor are dropped.
+    with norm at or below the underflow floor are dropped.  ``hs`` takes
+    the field's hs_norms() when the caller already has them.
     """
-    best = {}
-    for i, rep in enumerate(coeffs.catalog):
-        if rep.label not in coeffs.blocks:
-            continue
-        hs = hs_norm(coeffs.blocks[rep.label])
-        if hs <= HS_FLOOR:
-            continue
-        key = rep.bracket
-        if key not in best or hs > best[key][0]:
-            best[key] = (hs, rep.label)
-    brackets = np.array(sorted(best))
-    logs = np.array([math.log(best[b][0]) for b in brackets])
-    labels = [best[b][1] for b in brackets]
-    return brackets, logs, labels
+    cat = coeffs.catalog
+    hs = coeffs.hs_norms() if hs is None else hs
+    idx = np.flatnonzero(hs > HS_FLOOR)
+    if len(idx) == 0:
+        return np.array([]), np.array([]), []
+    br, h = cat.brackets[idx], hs[idx]
+    # by bracket, then largest norm first, then catalog order: the first
+    # class attaining a bracket's maximum is its witness
+    order = np.lexsort((-h, br))
+    win = order[np.unique(br[order], return_index=True)[1]]
+    logs = np.array([math.log(v) for v in h[win].tolist()])
+    return br[win], logs, [cat.labels[i] for i in idx[win].tolist()]
 
 
 def _ls_line(x, y):
@@ -137,53 +166,50 @@ def fit_decay(coeffs):
         raise InsufficientDataError(
             "need >= 3 nonzero brackets to fit, have %d" % len(brackets)
         )
-    r2s = np.empty(len(S_GRID))
-    fits = []
-    for i, s in enumerate(S_GRID):
-        x = brackets ** (1.0 / s)
-        slope, intercept, r2 = _ls_line(x, logs)
-        r2s[i] = r2
-        fits.append((slope, intercept))
-    best = r2s.max()
-    idx = int(np.nonzero(r2s >= best - 1e-12)[0][0])
-    slope, intercept = fits[idx]
-    return DecayModel(
-        s=float(S_GRID[idx]),
-        B=-slope,
-        K=math.exp(intercept),
-        r2=float(r2s[idx]),
-        support=len(brackets),
-    )
+    fits = [_ls_line(brackets ** (1.0 / s), logs) for s in S_GRID]
+    r2s = np.array([r2 for _, _, r2 in fits])
+    idx = int(np.nonzero(r2s >= r2s.max() - 1e-12)[0][0])
+    slope, intercept, r2 = fits[idx]
+    return DecayModel(float(S_GRID[idx]), -slope, float(intercept), float(r2), len(brackets))
+
+
+def _pinned(brackets, logs, s):
+    if len(brackets) < 3:
+        raise InsufficientDataError("need >= 3 nonzero brackets")
+    slope, intercept, r2 = _ls_line(brackets ** (1.0 / s), logs)
+    return DecayModel(float(s), -slope, float(intercept), r2, len(brackets))
 
 
 def pinned_model(coeffs, s):
     """DecayModel with s pinned, B and K refitted on the full profile."""
     brackets, logs, _ = bracket_profile(coeffs)
-    if len(brackets) < 3:
-        raise InsufficientDataError("need >= 3 nonzero brackets")
-    slope, intercept, r2 = _ls_line(brackets ** (1.0 / s), logs)
-    return DecayModel(s=float(s), B=-slope, K=math.exp(intercept), r2=r2, support=len(brackets))
+    return _pinned(brackets, logs, s)
 
 
-def _degenerate_verdict(coeffs, s, mode):
-    """Zero or trivial-only fields pass vacuously at every s."""
-    labels = coeffs.labels()
-    nonzero = [
-        l for l in labels if hs_norm(coeffs.blocks[l]) > HS_FLOOR
-    ]
-    if not nonzero:
+def _degenerate_verdict(catalog, hs, s, mode):
+    """Zero or trivial-only fields pass vacuously at every s.
+
+    ``hs`` holds the field's per-class HS norms in catalog order.
+    """
+    nonzero = hs > HS_FLOOR
+    if not nonzero.any():
         return GevreyVerdict(mode=mode, s=s, passed=True, margin=math.inf,
                              flags=("zero_field",))
-    if all(coeffs.catalog.lookup(l).lambda_sq == 0.0 for l in nonzero):
+    if (catalog.lambda_sq[nonzero] == 0.0).all():
         return GevreyVerdict(mode=mode, s=s, passed=True, margin=math.inf,
                              flags=("constant_function",))
     return None
 
 
-def _thirds(n):
-    lo = n // 3
-    hi = 2 * n // 3
-    return slice(0, lo), slice(lo, hi), slice(hi, n)
+def _tertile_slopes(x, logs, labels):
+    """Slopes of logs against x fitted on the lower, middle and upper
+    thirds, the top-third labels, and how far each top-third point lies
+    above the middle-third line."""
+    lo, hi = len(x) // 3, 2 * len(x) // 3
+    slope_mid, icpt_mid, _ = _ls_line(x[lo:hi], logs[lo:hi])
+    excess = logs[hi:] - (slope_mid * x[hi:] + icpt_mid)
+    slopes = (_ls_line(x[:lo], logs[:lo])[0], slope_mid, _ls_line(x[hi:], logs[hi:])[0])
+    return slopes, labels[hi:], excess
 
 
 def fourier_side_test(coeffs, s, mode):
@@ -197,14 +223,15 @@ def fourier_side_test(coeffs, s, mode):
     if s <= 0:
         raise DomainError("s must be positive")
     mode = _norm_mode(mode)
-    degenerate = _degenerate_verdict(coeffs, s, mode)
+    hs = coeffs.hs_norms()
+    degenerate = _degenerate_verdict(coeffs.catalog, hs, s, mode)
     if degenerate is not None:
         return degenerate
     flags = () if s >= 1 else ("s_below_duality_range",)
-    brackets, logs, labels = bracket_profile(coeffs)
+    brackets, logs, labels = bracket_profile(coeffs, hs)
     x = brackets ** (1.0 / s)
     try:
-        model = pinned_model(coeffs, s)
+        model = _pinned(brackets, logs, s)
     except InsufficientDataError:
         model = None
     if len(x) < 9:
@@ -218,16 +245,11 @@ def fourier_side_test(coeffs, s, mode):
         return GevreyVerdict(mode=mode, s=s, passed=passed, margin=margin,
                              model=model, witness_label=None,
                              flags=flags + ("short_spectrum",))
-    lo_sl, mid_sl, top_sl = _thirds(len(x))
-    b_lo = -_ls_line(x[lo_sl], logs[lo_sl])[0]
-    slope_mid, icpt_mid, _ = _ls_line(x[mid_sl], logs[mid_sl])
-    b_mid = -slope_mid
-    b_top = -_ls_line(x[top_sl], logs[top_sl])[0]
+    slopes, top_labels, excess = _tertile_slopes(x, logs, labels)
+    b_lo, b_mid, b_top = (-g for g in slopes)
     # witness: tail class exceeding the extrapolated middle-third decay most
-    excess = logs[top_sl] - (slope_mid * x[top_sl] + icpt_mid)
-    witness = labels[top_sl][int(np.argmax(excess))] if mode == "roumieu" else (
-        labels[top_sl][int(np.argmin(excess))]
-    )
+    pick = np.argmax if mode == "roumieu" else np.argmin
+    witness = top_labels[int(pick(excess))]
     extras = {"b_lower": b_lo, "b_middle": b_mid, "b_top": b_top}
     if mode == "roumieu":
         margins = [b_top / B_MIN - 1.0]
@@ -263,38 +285,29 @@ def space_side_test(coeffs, s, k_max=16, mode="roumieu"):
     if k_max < 3:
         raise DomainError("k_max must be >= 3")
     mode = _norm_mode(mode)
-    degenerate = _degenerate_verdict(coeffs, s, mode)
+    cat = coeffs.catalog
+    hs = coeffs.hs_norms()
+    degenerate = _degenerate_verdict(cat, hs, s, mode)
     if degenerate is not None:
         return degenerate
     flags = () if s >= 1 else ("s_below_duality_range",)
-    cat = coeffs.catalog
-    data = [
-        (rep, hs_norm(coeffs.blocks[rep.label]))
-        for rep in cat
-        if rep.label in coeffs.blocks and rep.lambda_sq > 0.0
-    ]
-    data = [(rep, hs) for rep, hs in data if hs > HS_FLOOR]
-    base = np.array([1.5 * math.log(r.dim) + math.log(hs) for r, hs in data])
-    log_abs = np.array([0.5 * math.log(r.lambda_sq) for r, _ in data])
-    brackets = np.array([r.bracket for r, _ in data])
-    edge = SATURATION_FRACTION * brackets.max()
+    idx = np.flatnonzero((hs > HS_FLOOR) & (cat.lambda_sq > 0.0))
+    base = 1.5 * np.log(cat.dims[idx]) + np.log(hs[idx])
+    log_abs = 0.5 * np.log(cat.lambda_sq[idx])
     ks = np.arange(1, k_max + 1)
-    u = np.empty(len(ks))
-    rho = np.empty(len(ks))
-    usable = np.zeros(len(ks), dtype=bool)
-    argmaxes = []
+    u, peaks = np.empty(k_max), np.empty(k_max, dtype=int)
     for i, k in enumerate(ks):
         terms = base + 2.0 * k * log_abs
-        u[i] = float(logsumexp(terms))
-        peak = int(np.argmax(terms))
-        argmaxes.append(data[peak][0].label)
-        rho[i] = math.exp((u[i] - s * gammaln(2.0 * k + 1.0)) / (2.0 * k))
-        usable[i] = brackets[peak] < edge
+        u[i], peaks[i] = logsumexp(terms), idx[np.argmax(terms)]
+    log_rho = (u - s * gammaln(2.0 * ks + 1.0)) / (2.0 * ks)
+    rho = np.array([math.exp(v) for v in log_rho.tolist()])
+    usable = cat.brackets[peaks] < SATURATION_FRACTION * cat.brackets[idx].max()
+    witness = cat.labels[peaks[-1]]
     extras = {"k": ks, "u": u, "rho": rho, "usable": usable}
     if int(usable.sum()) < MIN_USABLE_K:
         return GevreyVerdict(
             mode=mode, s=s, passed=False, margin=-math.inf,
-            witness_label=argmaxes[-1], flags=flags + ("saturated_spectrum",),
+            witness_label=witness, flags=flags + ("saturated_spectrum",),
             extras=extras,
         )
     half = k_max // 2
@@ -303,7 +316,7 @@ def space_side_test(coeffs, s, k_max=16, mode="roumieu"):
     if len(early) == 0 or len(late) == 0:
         return GevreyVerdict(
             mode=mode, s=s, passed=False, margin=-math.inf,
-            witness_label=argmaxes[-1], flags=flags + ("saturated_spectrum",),
+            witness_label=witness, flags=flags + ("saturated_spectrum",),
             extras=extras,
         )
     if mode == "roumieu":
@@ -319,7 +332,7 @@ def space_side_test(coeffs, s, k_max=16, mode="roumieu"):
     passed = margin >= 0.0
     return GevreyVerdict(
         mode=mode, s=s, passed=passed, margin=margin,
-        witness_label=None if passed else argmaxes[-1], flags=flags,
+        witness_label=None if passed else witness, flags=flags,
         extras=extras,
     )
 

@@ -11,9 +11,9 @@ Label conventions:
   so3    : the integer spin l >= 0, dimension 2l + 1.
 """
 
-import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -75,65 +75,46 @@ class GroupSpec:
         return 2.0
 
 
-def _torus_reps(spec, cutoff):
-    # bracket <= cutoff means |k|^2 <= cutoff^2 - 1
-    radius_sq = cutoff * cutoff - 1.0
-    if radius_sq < 0.0:
-        return []
-    kmax = int(math.floor(math.sqrt(radius_sq)))
-    reps = []
-    for k in itertools.product(range(-kmax, kmax + 1), repeat=spec.torus_dim):
-        nrm = float(sum(c * c for c in k))
-        if nrm <= radius_sq:
-            reps.append(RepInfo(label=tuple(k), dim=1, lambda_sq=nrm))
-    return reps
-
-
-def _su2_reps(cutoff):
-    reps = []
-    ell = 0
-    while True:
-        lam_sq = (ell / 2.0) * (ell / 2.0 + 1.0)
-        if 1.0 + lam_sq > cutoff * cutoff:
-            break
-        reps.append(RepInfo(label=(ell,), dim=ell + 1, lambda_sq=lam_sq))
-        ell += 1
-    return reps
-
-
-def _so3_reps(cutoff):
-    reps = []
-    l = 0
-    while True:
-        lam_sq = float(l * (l + 1))
-        if 1.0 + lam_sq > cutoff * cutoff:
-            break
-        reps.append(RepInfo(label=(l,), dim=2 * l + 1, lambda_sq=lam_sq))
-        l += 1
-    return reps
-
-
 @dataclass(frozen=True)
 class DualCatalog:
     """Immutable, deterministically ordered slice of the unitary dual.
 
     Contains every class with bracket <= cutoff, sorted by ascending
     bracket with lexicographic label order breaking ties.  The trivial
-    representation is always entry 0.
+    representation is always entry 0.  Labels, dims, lambda_sq and
+    brackets are kept per class in catalog order, the numbers as
+    read-only arrays; offsets[i]:offsets[i+1] is class i's slice of a
+    packed coefficient array holding each d x d block row-major.  The
+    RepInfo records are built on first use.
     """
 
     spec: GroupSpec
     cutoff: float
-    reps: tuple
-    _index: dict = field(default_factory=dict, compare=False, repr=False)
+    labels: tuple
+    dims: np.ndarray = field(compare=False, repr=False)
+    lambda_sq: np.ndarray = field(compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "_index", {r.label: i for i, r in enumerate(self.reps)}
-        )
+        object.__setattr__(self, "brackets", np.sqrt(1.0 + self.lambda_sq))
+        object.__setattr__(self, "offsets", np.concatenate(([0], np.cumsum(self.dims**2))))
+        object.__setattr__(self, "_index", {l: i for i, l in enumerate(self.labels)})
+        for arr in (self.dims, self.lambda_sq, self.brackets, self.offsets):
+            arr.flags.writeable = False
+
+    @cached_property
+    def entry_index(self):
+        """Row, column and block size d of every entry of a packed field."""
+        n = np.diff(self.offsets)
+        d = np.repeat(self.dims, n)
+        local = np.arange(self.offsets[-1]) - np.repeat(self.offsets[:-1], n)
+        return local // d, local % d, d
+
+    @cached_property
+    def reps(self):
+        return tuple(map(RepInfo, self.labels, self.dims.tolist(), self.lambda_sq.tolist()))
 
     def __len__(self):
-        return len(self.reps)
+        return len(self.labels)
 
     def __iter__(self):
         return iter(self.reps)
@@ -142,10 +123,7 @@ class DualCatalog:
         return self.reps[i]
 
     def lookup(self, label):
-        label = tuple(label)
-        if label not in self._index:
-            raise DomainError("label %r not in catalog" % (label,))
-        return self.reps[self._index[label]]
+        return self.reps[self.position(label)]
 
     def position(self, label):
         label = tuple(label)
@@ -156,27 +134,36 @@ class DualCatalog:
     def contains(self, label):
         return tuple(label) in self._index
 
-    @property
-    def brackets(self):
-        return np.array([r.bracket for r in self.reps])
-
-    @property
-    def dims(self):
-        return np.array([r.dim for r in self.reps], dtype=int)
-
 
 def enumerate_dual(spec, cutoff):
-    """Catalog every irreducible class with bracket weight <= cutoff."""
+    """Catalog every irreducible class with bracket weight <= cutoff.
+
+    The test is sqrt(1 + lambda^2) <= cutoff, computed exactly as
+    RepInfo.bracket does, so a cutoff equal to a bracket keeps its class.
+    """
     if cutoff < 1.0:
         raise DomainError("cutoff must be >= 1 so the trivial class is included")
     if spec.family == "torus":
-        reps = _torus_reps(spec, cutoff)
-    elif spec.family == "su2":
-        reps = _su2_reps(cutoff)
+        # |k_i| <= |k| <= bracket, and the candidates come out in
+        # lexicographic order, which the stable sort below keeps on ties
+        axis = np.arange(-math.floor(cutoff), math.floor(cutoff) + 1)
+        grids = np.meshgrid(*([axis] * spec.torus_dim), indexing="ij")
+        labels = np.stack([g.ravel() for g in grids], axis=1)
+        lambda_sq = (labels * labels).sum(axis=1).astype(float)
+        dims = np.ones(len(labels), dtype=int)
     else:
-        reps = _so3_reps(cutoff)
-    reps.sort(key=lambda r: (r.bracket, r.label))
-    return DualCatalog(spec=spec, cutoff=float(cutoff), reps=tuple(reps))
+        # 2j < 2 bracket on SU(2) and l < bracket on SO(3)
+        top = 2 * cutoff if spec.family == "su2" else cutoff
+        labels = np.arange(int(top) + 1)[:, None]
+        j = labels[:, 0] / 2.0 if spec.family == "su2" else labels[:, 0] * 1.0
+        lambda_sq = j * (j + 1.0)
+        dims = (2 * j + 1).astype(int)
+    brackets = np.sqrt(1.0 + lambda_sq)
+    keep = np.flatnonzero(brackets <= cutoff)
+    keep = keep[np.argsort(brackets[keep], kind="stable")]
+    return DualCatalog(spec=spec, cutoff=float(cutoff),
+                       labels=tuple(map(tuple, labels[keep].tolist())),
+                       dims=dims[keep], lambda_sq=lambda_sq[keep])
 
 
 def weyl_dimension_report(catalog):
@@ -220,11 +207,11 @@ def exp_dominance_check(catalog):
     slack on each side (nonnegative means the inequality holds).
     """
     c = math.sqrt(1.0 + 1.0 / catalog.spec.min_nonzero_lambda_sq)
-    lower = math.inf
-    upper = math.inf
-    for r in catalog.reps:
-        if r.lambda_sq == 0.0:
-            continue
-        lower = min(lower, r.bracket - r.eigenvalue)
-        upper = min(upper, c * r.eigenvalue - r.bracket)
-    return {"constant": c, "lower_slack": lower, "upper_slack": upper}
+    nontrivial = catalog.lambda_sq != 0.0
+    eig = np.sqrt(catalog.lambda_sq[nontrivial])
+    br = catalog.brackets[nontrivial]
+    return {
+        "constant": c,
+        "lower_slack": float((br - eig).min(initial=math.inf)),
+        "upper_slack": float((c * eig - br).min(initial=math.inf)),
+    }

@@ -130,17 +130,30 @@ def wigner_d_matrix(two_j, beta):
     return wigner_d_all(two_j, beta)[two_j]
 
 
+DSTACK_CACHE_BYTES = 256 * 2**20
 _DSTACK_CACHE = {}
 
 
 def wigner_d_cached(two_jmax, beta):
-    """Memoized wigner_d_all for repeated transforms on the same grid."""
+    """Memoized wigner_d_all for repeated transforms on the same grid.
+
+    The cache keeps at most DSTACK_CACHE_BYTES of stacks, evicting the
+    oldest first; a stack larger than the whole budget is not kept.
+    """
     key = (two_jmax, beta.tobytes())
-    if key not in _DSTACK_CACHE:
-        if len(_DSTACK_CACHE) > 32:
-            _DSTACK_CACHE.clear()
-        _DSTACK_CACHE[key] = wigner_d_all(two_jmax, beta)
-    return _DSTACK_CACHE[key]
+    if key in _DSTACK_CACHE:
+        return _DSTACK_CACHE[key]
+    stack = wigner_d_all(two_jmax, beta)
+    if sum(a.nbytes for a in stack.values()) <= DSTACK_CACHE_BYTES:
+        _DSTACK_CACHE[key] = stack
+        while sum(a.nbytes for st in _DSTACK_CACHE.values() for a in st.values()) > DSTACK_CACHE_BYTES:
+            del _DSTACK_CACHE[next(iter(_DSTACK_CACHE))]
+    return stack
+
+
+def two_j_of(spec, rep):
+    """Twice the spin of an SU(2) or SO(3) class."""
+    return rep.label[0] if spec.family == "su2" else 2 * rep.label[0]
 
 
 def rep_matrix(spec, rep, angles):
@@ -156,7 +169,7 @@ def rep_matrix(spec, rep, angles):
         k = np.asarray(rep.label, dtype=float)
         return np.array([[np.exp(1j * float(k @ x))]])
     alpha, beta, gamma = (float(a) for a in angles)
-    two_j = rep.label[0] if spec.family == "su2" else 2 * rep.label[0]
+    two_j = two_j_of(spec, rep)
     d = wigner_d_matrix(two_j, np.array([beta]))[0]
     mvals = (two_j - 2 * np.arange(two_j + 1)) / 2.0
     return np.exp(-1j * mvals[:, None] * alpha) * d * np.exp(-1j * mvals[None, :] * gamma)

@@ -52,28 +52,22 @@ class ClassIStructure:
         return [r.label for r in self.catalog]
 
 
+def _off_class_one(coeffs, structure):
+    """Mask of the packed entries outside each block's invariant row."""
+    row = coeffs.catalog.entry_index[0]
+    inv = [structure.invariant_index(label) for label in coeffs.catalog.labels]
+    return row != np.repeat(inv, np.diff(coeffs.catalog.offsets))
+
+
 def project_class_one(coeffs, structure):
     """Zero every coefficient row other than the invariant one."""
-    out = CoefficientField(coeffs.catalog)
-    for label in coeffs.labels():
-        row = structure.invariant_index(label)
-        mat = np.zeros_like(coeffs.blocks[label])
-        mat[row, :] = coeffs.blocks[label][row, :]
-        out[label] = mat
-    return out
+    data = np.where(_off_class_one(coeffs, structure), 0, coeffs.data)
+    return CoefficientField(coeffs.catalog, data=data, present=coeffs.present.copy())
 
 
 def leakage(coeffs, structure):
     """Largest magnitude outside the class-I rows."""
-    worst = 0.0
-    for label in coeffs.labels():
-        row = structure.invariant_index(label)
-        mat = coeffs.blocks[label]
-        mask = np.ones(mat.shape[0], dtype=bool)
-        mask[row] = False
-        if mask.any():
-            worst = max(worst, float(np.abs(mat[mask, :]).max()))
-    return worst
+    return float(np.abs(coeffs.data[_off_class_one(coeffs, structure)]).max(initial=0.0))
 
 
 def lift(sphere_samples, grid):
@@ -115,25 +109,19 @@ def sphere_series(coeffs, structure, points):
             rep = coeffs.catalog.lookup(label)
             row = structure.invariant_index(label)
             xi = rep_matrix(spec, rep, (alpha, beta, 0.0))
-            terms[j] = rep.dim * (xi[:, row] @ coeffs.blocks[label][row, :])
+            terms[j] = rep.dim * (xi[:, row] @ coeffs[label][row, :])
         out[i] = tree_sum(terms) if len(terms) else 0.0
     return out
 
 
 def _leakage_verdict(seq, structure, s, mode):
-    bad = leakage(seq, structure)
-    if bad > 1e-10:
-        worst_label = None
-        for label in seq.labels():
-            row = structure.invariant_index(label)
-            mat = seq.blocks[label].copy()
-            mat[row, :] = 0.0
-            if np.abs(mat).max() > 1e-10:
-                worst_label = label
-                break
+    off = np.where(_off_class_one(seq, structure), np.abs(seq.data), 0.0)
+    worst = np.maximum.reduceat(off, seq.catalog.offsets[:-1])
+    if worst.max() > 1e-10:
         return GevreyVerdict(
-            mode=mode, s=s, passed=False, margin=-bad,
-            witness_label=worst_label, flags=("class_one_leakage",),
+            mode=mode, s=s, passed=False, margin=-float(worst.max()),
+            witness_label=seq.catalog.labels[np.flatnonzero(worst > 1e-10)[0]],
+            flags=("class_one_leakage",),
         )
     return None
 

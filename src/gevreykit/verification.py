@@ -46,9 +46,10 @@ def _families():
     return out
 
 
-def _random_field(catalog, rng):
+def _random_field(catalog, rng, reps=None):
+    """Complex Gaussian blocks on ``reps`` (default every class), in order."""
     f = fourier.CoefficientField(catalog)
-    for r in catalog:
+    for r in catalog if reps is None else reps:
         f[r.label] = rng.standard_normal((r.dim, r.dim)) + 1j * rng.standard_normal(
             (r.dim, r.dim)
         )
@@ -258,11 +259,7 @@ def check_duality(seed=400):
         duality.ultra_membership_test(delta, s, "roumieu").passed for s in (1.0, 2.0)
     )
     band_cat = enumerate_dual(su2, math.sqrt(1 + 6.0 * 7.0))
-    phi = fourier.CoefficientField(cat)
-    for r in band_cat:
-        phi[r.label] = rng.standard_normal((r.dim, r.dim)) + 1j * rng.standard_normal(
-            (r.dim, r.dim)
-        )
+    phi = _random_field(cat, rng, band_cat)
     from .quadrature import identity_element
 
     paired = duality.pair(delta, phi)
@@ -379,19 +376,10 @@ def check_extended_probes(seed=700):
     cat = enumerate_dual(su2, 70.0)
     small = [r for r in cat if r.bracket <= 6.0]
     delta = duality.delta_sequence(cat)
-
-    def band_field():
-        f = fourier.CoefficientField(cat)
-        for r in small:
-            f[r.label] = rng.standard_normal((r.dim, r.dim)) + 1j * (
-                rng.standard_normal((r.dim, r.dim))
-            )
-        return f
-
     worst = 0.0
     for _ in range(50):
-        f = band_field()
-        g = band_field()
+        f = _random_field(cat, rng, small)
+        g = _random_field(cat, rng, small)
         a, b = rng.standard_normal(2)
         lhs = duality.pair(delta, f.add(g, a, b))
         rhs = a * duality.pair(delta, f) + b * duality.pair(delta, g)

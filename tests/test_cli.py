@@ -8,7 +8,7 @@ from gevreykit import cli
 from gevreykit.gevrey import synthesize_gevrey
 from gevreykit.groups import GroupSpec, enumerate_dual
 from gevreykit.quadrature import band_for_catalog, build_grid
-from gevreykit.serialize import field_to_jsonl, samples_to_csv
+from gevreykit.serialize import field_to_jsonl, samples_to_csv, sphere_csv
 
 
 def run_cli(capsys, argv, stdin_text=None, monkeypatch=None):
@@ -216,3 +216,46 @@ def test_output_file_option(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())[0]["label"] == [0]
+
+
+def test_non_finite_input_exits_3(capsys, monkeypatch):
+    for bad in ("NaN", "Infinity", "-Infinity", "1e999"):
+        code, out, err = run_cli(
+            capsys,
+            ["classify", "--group", "t1", "--cutoff", "10", "--s", "1"],
+            stdin_text='{"label": [0], "matrix": [[[%s, 0.0]]]}\n' % bad,
+            monkeypatch=monkeypatch,
+        )
+        assert code == 3
+        assert out == ""
+        assert "line 1" in err
+    grid = build_grid(GroupSpec("so3"), band_for_catalog(enumerate_dual(GroupSpec("so3"), 3.0)))
+    values = np.ones((len(grid.beta), len(grid.alpha)), dtype=complex)
+    values[1, 2] = np.nan
+    code, out, err = run_cli(
+        capsys,
+        ["sphere", "--group", "so3", "--cutoff", "3", "--action", "lift"],
+        stdin_text=sphere_csv(grid, values),
+        monkeypatch=monkeypatch,
+    )
+    assert code == 3
+    assert out == ""
+    assert "non-finite" in err
+
+
+def test_classify_survives_overflowing_decay_constant(capsys, monkeypatch):
+    # s = 0.5 decay fitted at s = 3 has log K far beyond the double range
+    group = ["--group", "t2", "--cutoff", "60"]
+    code, field, _ = run_cli(capsys, ["synthesize", *group, "--s", "0.5", "--B", "1"])
+    assert code == 0
+    for mode in ("R", "B"):
+        code, out, _ = run_cli(
+            capsys,
+            ["classify", *group, "--s", "3", "--mode", mode, "--expect", "pass"],
+            stdin_text=field,
+            monkeypatch=monkeypatch,
+        )
+        verdict = json.loads(out)
+        assert code == 0
+        assert verdict["pass"] is True
+        assert verdict["K"] == "inf"

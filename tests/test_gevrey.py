@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -11,10 +12,12 @@ from gevreykit.gevrey import (
     fourier_side_test,
     infimum_decay_bound,
     infimum_decay_grid,
+    pinned_model,
     space_side_test,
     synthesize_gevrey,
 )
 from gevreykit.groups import GroupSpec, enumerate_dual
+from gevreykit.serialize import verdict_to_json
 
 T1 = GroupSpec("torus", 1)
 
@@ -145,3 +148,15 @@ def test_polynomial_decay_is_not_gevrey():
     # tertile slopes are what expose the power law
     model = fit_decay(coeffs)
     assert model.s == pytest.approx(5.0, abs=0.2)
+
+
+def test_decay_fits_keep_log_k_past_the_double_range():
+    # log ||f_hat|| = 750 - 50 <xi>: finite norms, K = e^750 overflows
+    cat = enumerate_dual(T1, 13.0)
+    coeffs = synthesize_gevrey(cat, 1.0, 50.0).scaled(math.exp(375.0)).scaled(math.exp(375.0))
+    for model in (fit_decay(coeffs), pinned_model(coeffs, 1.0)):
+        assert model.s == 1.0
+        assert model.log_K == pytest.approx(750.0, rel=1e-9)
+        assert model.K == math.inf
+    data = json.loads(verdict_to_json(fourier_side_test(coeffs, 1.0, "R")))
+    assert data["K"] == "inf"

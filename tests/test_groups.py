@@ -96,3 +96,31 @@ def test_series_probe_torus_convergent():
     # 2t = 1.2 > 1, so the terms k^(-1.2) decay and the sum stabilizes
     assert probe["last_relative_increment"] < 1e-3
     assert np.all(np.diff(probe["terms"][5:]) <= 0)
+
+
+def test_cutoff_on_a_bracket_keeps_its_class():
+    assert len(enumerate_dual(GroupSpec("su2"), math.sqrt(43.0))) == 13
+    assert len(enumerate_dual(GroupSpec("torus", 1), math.sqrt(26.0))) == 11
+    for l in range(40):
+        cat = enumerate_dual(GroupSpec("so3"), math.sqrt(1.0 + l * (l + 1.0)))
+        assert cat[len(cat) - 1].label == (l,)
+    for two_j in range(40):
+        cat = enumerate_dual(GroupSpec("su2"), math.sqrt(1.0 + two_j / 2 * (two_j / 2 + 1)))
+        assert cat[len(cat) - 1].label == (two_j,)
+    for k in range(1, 15):
+        labels = enumerate_dual(GroupSpec("torus", 2), math.sqrt(1.0 + k * k)).labels
+        assert (0, k) in labels and (-k, 0) in labels
+        assert all(r.bracket <= math.sqrt(1.0 + k * k) for r in enumerate_dual(
+            GroupSpec("torus", 2), math.sqrt(1.0 + k * k)))
+
+
+def test_catalog_arrays_match_records():
+    for spec, cutoff in ((GroupSpec("torus", 2), 7.5), (GroupSpec("su2"), 9.0),
+                         (GroupSpec("so3"), 9.0)):
+        cat = enumerate_dual(spec, cutoff)
+        assert cat.labels == tuple(r.label for r in cat)
+        assert cat.dims.tolist() == [r.dim for r in cat]
+        assert cat.brackets.tolist() == [r.bracket for r in cat]
+        assert cat.offsets[-1] == sum(r.dim**2 for r in cat)
+        with pytest.raises(ValueError):
+            cat.brackets[0] = 2.0

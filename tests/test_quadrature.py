@@ -131,3 +131,21 @@ def test_grid_kills_nonconstant_coefficients():
         )(a, b, g)
     )
     assert abs(haar_integrate(grid, vals)) < 1e-13
+
+
+def test_dstack_cache_evicts_oldest_within_byte_budget(monkeypatch):
+    from gevreykit import quadrature
+
+    monkeypatch.setattr(quadrature, "_DSTACK_CACHE", {})
+    betas = [np.array([0.1 * i, 0.2 * i]) for i in range(1, 4)]
+    one = sum(a.nbytes for a in quadrature.wigner_d_all(4, betas[0]).values())
+    monkeypatch.setattr(quadrature, "DSTACK_CACHE_BYTES", 2 * one)
+    first = quadrature.wigner_d_cached(4, betas[0])
+    assert quadrature.wigner_d_cached(4, betas[0]) is first
+    quadrature.wigner_d_cached(4, betas[1])
+    quadrature.wigner_d_cached(4, betas[2])
+    kept = [key[1] for key in quadrature._DSTACK_CACHE]
+    assert kept == [betas[1].tobytes(), betas[2].tobytes()]
+    big = quadrature.wigner_d_cached(6, betas[0])
+    assert 6 in big
+    assert [key[1] for key in quadrature._DSTACK_CACHE] == kept

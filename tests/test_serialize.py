@@ -115,3 +115,32 @@ def test_verdict_json_infinite_margin():
     data = json.loads(verdict_to_json(v))
     assert data["margin"] == "inf"
     assert data["flags"] == ["zero_field"]
+
+
+def test_field_jsonl_rejects_non_finite():
+    cat = enumerate_dual(GroupSpec("su2"), 5.0)
+    good = '{"label": [0], "matrix": [[[1.0, 0.0]]]}\n'
+    for bad in ("NaN", "Infinity", "-Infinity", "1e400"):
+        with pytest.raises(DataError, match="line 2"):
+            field_from_jsonl(good + '{"label": [1], "matrix": [[[%s, 0.0], [0.0, 0.0]], '
+                             '[[0.0, 0.0], [0.0, 0.0]]]}\n' % bad, cat)
+
+
+def test_samples_csv_rejects_non_finite():
+    for bad in ("nan", "inf", "-inf", "1e400"):
+        with pytest.raises(DataError):
+            samples_from_csv("re,im\n1.0,0.0\n%s,0.0\n" % bad, (2,))
+
+
+def test_field_jsonl_one_record_per_line():
+    cat = enumerate_dual(GroupSpec("torus", 1), 3.0)
+    rec = '{"label": [%d], "matrix": [[[%d.0, 0.5]]]}'
+    with pytest.raises(DataError, match="line 1"):
+        field_from_jsonl(rec % (0, 1) + ", " + rec % (1, 2) + "\n", cat)
+    with pytest.raises(DataError, match="line 1"):
+        field_from_jsonl('{"label": [0],\n"matrix": [[[1.0, 0.0]]]}\n', cat)
+    # a repeated label keeps its last record, blank lines are skipped
+    f = field_from_jsonl("\n".join([rec % (1, 1), "", rec % (1, 7)]) + "\n", cat)
+    assert f.labels() == [(1,)]
+    assert f[(1,)][0, 0] == 7.0 + 0.5j
+    assert field_from_jsonl("", cat).labels() == []
