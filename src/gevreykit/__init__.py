@@ -62,7 +62,7 @@ from .groups import (
     enumerate_dual,
     series_convergence_probe,
 )
-from .parallel import set_workers, worker_count
+from .parallel import worker_count
 from .quadrature import GroupGrid, band_for_catalog, build_grid, sample_function
 from .sphere import (
     ClassIStructure,
@@ -125,7 +125,6 @@ __all__ = [
     "run_suite",
     "sample_function",
     "series_convergence_probe",
-    "set_workers",
     "sobolev_norm",
     "space_side_test",
     "sphere_gevrey_test",

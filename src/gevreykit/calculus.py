@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ContractViolation, DomainError
 from .fourier import CoefficientField, plancherel_norm
-from .quadrature import tree_sum, two_j_of
+from .quadrature import tree_sum
 
 
 class Symbol(CoefficientField):
@@ -48,7 +48,7 @@ def vector_field_symbol(catalog, j):
     if spec.family == "torus":
         k = np.array(catalog.labels)[:, j - 1]
         return Symbol(catalog, data=1j * k, present=np.ones(len(catalog), dtype=bool))
-    return Symbol(catalog, {r.label: -1j * _angular_momentum(two_j_of(spec, r))[j - 1]
+    return Symbol(catalog, {r.label: -1j * _angular_momentum(r.dim - 1)[j - 1]
                             for r in catalog})
 
 

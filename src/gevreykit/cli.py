@@ -35,7 +35,6 @@ from .fourier import (
 )
 from .gevrey import cross_check, fourier_side_test, space_side_test, synthesize_gevrey
 from .groups import GroupSpec, enumerate_dual, series_convergence_probe
-from .parallel import set_workers, worker_count
 from .quadrature import band_for_catalog, build_grid
 from .serialize import (
     catalog_to_json,
@@ -374,7 +373,6 @@ def cmd_verify(args):
 
 def _add_common(p):
     p.add_argument("--config", help="JSON file of option defaults; flags win")
-    p.add_argument("--workers", type=int, help="worker threads for per-class maps")
     p.add_argument("--output", "-o", help="output path, - for stdout")
 
 
@@ -476,10 +474,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         args._config = _load_config(getattr(args, "config", None))
-        workers = _opt(args, "workers", cast=int)
-        if workers is not None:
-            set_workers(workers)
-        worker_count()
         return args.fn(args)
     except BrokenPipeError:
         return EXIT_OK

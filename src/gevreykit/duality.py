@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from .errors import DomainError, IllPairedError
-from .fourier import CoefficientField, _require_same_catalog
+from .fourier import CoefficientField, _require_same_catalog, inverse_transform
 from .gevrey import (
     GevreyVerdict,
     HS_FLOOR,
@@ -28,7 +28,7 @@ from .gevrey import (
     bracket_profile,
     profile_field,
 )
-from .quadrature import tree_sum
+from .quadrature import identity_element, rep_matrix, tree_sum
 
 GROWTH_EPS = 1e-3
 ROUMIEU_DUAL_RATIO = 0.95
@@ -141,10 +141,15 @@ def pairing_diagnostic(seq, coeffs):
 def pair(seq, coeffs):
     """Duality pairing sum_xi d_xi Tr(phi_hat(xi) v_xi).
 
-    Refuses with an ill-paired error when the last decade of brackets
-    still carries more than a 1e-8 relative share of the absolute mass.
+    Refuses with an ill-paired error when the absolute mass of the terms
+    is not finite, or when the last decade of brackets still carries
+    more than a 1e-8 relative share of it.
     """
-    diag = pairing_diagnostic(seq, coeffs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        diag = pairing_diagnostic(seq, coeffs)
+    if not math.isfinite(diag.total_abs):
+        raise IllPairedError("pairing terms are not finite (absolute mass %r)"
+                             % diag.total_abs, diagnostic=diag.__dict__)
     if diag.tail_fraction > PAIR_TAIL_REL:
         raise IllPairedError(
             "pairing tail fraction %.3e over brackets >= %.1f exceeds %.0e"
@@ -208,9 +213,6 @@ def perfectness_roundtrip(coeffs, s, b_grid=(0.25, 0.5), points=None):
     inversion series independently at the given points and compares with
     inverse_transform.
     """
-    from .fourier import inverse_transform
-    from .quadrature import identity_element
-
     brackets, logs, _ = bracket_profile(coeffs)
     series = {}
     all_converge = True
@@ -228,8 +230,6 @@ def perfectness_roundtrip(coeffs, s, b_grid=(0.25, 0.5), points=None):
         points = [identity_element(coeffs.catalog.spec)]
     direct = inverse_transform(coeffs, points)
     resynth = np.zeros(len(points), dtype=complex)
-    from .quadrature import rep_matrix
-
     for i, x in enumerate(points):
         acc = []
         for label in coeffs.labels():

@@ -15,8 +15,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import ContractViolation, DomainError
-from .parallel import rep_map
-from .quadrature import band_for_catalog, rep_matrix, tree_sum, two_j_of, wigner_d_cached
+from .quadrature import band_for_catalog, rep_matrix, tree_sum, wigner_d_cached
 
 
 class CoefficientField:
@@ -136,12 +135,15 @@ def _check_band(grid, catalog):
         )
 
 
-def _phase_table(grid, two_band):
-    """exp(+i m alpha) and exp(+i n gamma) for 2m, 2n in [-two_band, two_band]."""
+def _euler_tables(grid):
+    """two_band = twice the grid's top weight, exp(+i m alpha) and
+    exp(+i n gamma) for 2m, 2n in [-two_band, two_band], and the little-d
+    stack up to 2j = two_band on the grid's betas."""
+    two_band = 2 * grid.band if grid.spec.family == "so3" else grid.band
     two_m = np.arange(-two_band, two_band + 1)
     ea = np.exp(0.5j * np.outer(two_m, grid.alpha))
     eg = np.exp(0.5j * np.outer(two_m, grid.gamma))
-    return ea, eg
+    return two_band, ea, eg, wigner_d_cached(two_band, grid.beta)
 
 
 def _torus_index(catalog, grid):
@@ -157,52 +159,42 @@ def forward_transform(grid, samples, catalog):
         raise ContractViolation(
             "sample shape %r does not match grid shape %r" % (samples.shape, grid.shape)
         )
-    spec = catalog.spec
-    if spec.family == "torus":
+    if catalog.spec.family == "torus":
         spectrum = np.fft.fftn(samples) / samples.size
         return CoefficientField(catalog, data=spectrum[_torus_index(catalog, grid)],
                                 present=np.ones(len(catalog), dtype=bool))
     out = CoefficientField(catalog)
-    two_band = 2 * grid.band if spec.family == "so3" else grid.band
-    ea, eg = _phase_table(grid, two_band)
+    two_band, ea, eg, dstack = _euler_tables(grid)
     # t1[m, b, g] = mean over alpha of e^{i m alpha} f;  t2 adds the gamma mean
     t1 = np.einsum("ma,abg->mbg", ea, samples) / len(grid.alpha)
     t2 = np.einsum("ng,mbg->mbn", eg, t1) / len(grid.gamma)
-    dstack = wigner_d_cached(two_band, grid.beta)
     wb = 0.5 * grid.beta_weights
-
-    def one_rep(rep):
-        two_j = two_j_of(spec, rep)
-        sel = two_band + two_j - 2 * np.arange(two_j + 1)
+    for rep in catalog:
+        two_j = rep.dim - 1
+        sel = two_band + two_j - 2 * np.arange(rep.dim)
         block = np.einsum(
             "bmn,mbn->mn", wb[:, None, None] * dstack[two_j], t2[sel][:, :, sel]
         )
         # xi(x)* is the conjugate transpose, so entry (m,n) of f_hat pairs
         # with the conjugate of coefficient (n,m)
-        return block.T
-
-    for rep, block in zip(catalog, rep_map(one_rep, catalog)):
-        out[rep.label] = block
+        out[rep.label] = block.T
     return out
 
 
 def inverse_on_grid(coeffs, grid):
     """Synthesize the inversion series on every node of the grid."""
     _check_band(grid, coeffs.catalog)
-    spec = coeffs.catalog.spec
-    if spec.family == "torus":
+    if coeffs.catalog.spec.family == "torus":
         spectrum = np.zeros(grid.shape, dtype=complex)
         spectrum[_torus_index(coeffs.catalog, grid)] = coeffs.data
         return np.fft.ifftn(spectrum) * spectrum.size
-    two_band = 2 * grid.band if spec.family == "so3" else grid.band
-    ea, eg = _phase_table(grid, two_band)
-    dstack = wigner_d_cached(two_band, grid.beta)
+    two_band, ea, eg, dstack = _euler_tables(grid)
     nb = len(grid.beta)
     acc = np.zeros((2 * two_band + 1, nb, 2 * two_band + 1), dtype=complex)
     for label in coeffs.labels():
         rep = coeffs.catalog.lookup(label)
-        two_j = two_j_of(spec, rep)
-        sel = two_band + two_j - 2 * np.arange(two_j + 1)
+        two_j = rep.dim - 1
+        sel = two_band + two_j - 2 * np.arange(rep.dim)
         # Tr(xi(x) f_hat) pairs entry (m,n) of xi with entry (n,m) of f_hat
         contrib = rep.dim * np.einsum(
             "bmn,nm->mbn", dstack[two_j], coeffs[label]

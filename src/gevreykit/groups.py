@@ -17,9 +17,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, ResourceError
 
 FAMILIES = ("torus", "su2", "so3")
+
+# Most candidate labels enumerate_dual may examine for one catalog
+CATALOG_CANDIDATE_BUDGET = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -140,21 +143,32 @@ def enumerate_dual(spec, cutoff):
 
     The test is sqrt(1 + lambda^2) <= cutoff, computed exactly as
     RepInfo.bracket does, so a cutoff equal to a bracket keeps its class.
+    A cutoff needing more than CATALOG_CANDIDATE_BUDGET candidate labels
+    is refused with a resource error.
     """
+    if not math.isfinite(cutoff):
+        raise DomainError("cutoff must be finite, got %r" % (cutoff,))
     if cutoff < 1.0:
         raise DomainError("cutoff must be >= 1 so the trivial class is included")
+    # |k_i| <= |k| <= bracket on T^n, 2j < 2 bracket on SU(2) and
+    # l < bracket on SO(3)
+    top = math.floor(2 * cutoff if spec.family == "su2" else cutoff)
+    candidates = (2 * top + 1) ** spec.torus_dim if spec.family == "torus" else top + 1
+    if candidates > CATALOG_CANDIDATE_BUDGET:
+        raise ResourceError(
+            "cutoff %g needs more than the %d candidate labels a catalog may examine"
+            % (cutoff, CATALOG_CANDIDATE_BUDGET)
+        )
     if spec.family == "torus":
-        # |k_i| <= |k| <= bracket, and the candidates come out in
-        # lexicographic order, which the stable sort below keeps on ties
-        axis = np.arange(-math.floor(cutoff), math.floor(cutoff) + 1)
+        # the candidates come out in lexicographic order, which the
+        # stable sort below keeps on ties
+        axis = np.arange(-top, top + 1)
         grids = np.meshgrid(*([axis] * spec.torus_dim), indexing="ij")
         labels = np.stack([g.ravel() for g in grids], axis=1)
         lambda_sq = (labels * labels).sum(axis=1).astype(float)
         dims = np.ones(len(labels), dtype=int)
     else:
-        # 2j < 2 bracket on SU(2) and l < bracket on SO(3)
-        top = 2 * cutoff if spec.family == "su2" else cutoff
-        labels = np.arange(int(top) + 1)[:, None]
+        labels = np.arange(top + 1)[:, None]
         j = labels[:, 0] / 2.0 if spec.family == "su2" else labels[:, 0] * 1.0
         lambda_sq = j * (j + 1.0)
         dims = (2 * j + 1).astype(int)

@@ -1,49 +1,10 @@
-"""Per-class worker maps.
+"""Worker count of the package's computations.
 
-All parallelism in the package goes through rep_map, which preserves
-input order so reductions stay deterministic regardless of the worker
-count.  GEVREYKIT_WORKERS is the only environment input; unset means
-the available CPU count.
+Every computation runs on the calling thread; a thread pool over the
+per-class maps measured no faster than one thread.
 """
-
-import os
-from concurrent.futures import ThreadPoolExecutor
-
-from .errors import ConfigurationError
-
-_OVERRIDE = None
-
-
-def set_workers(n):
-    """Pin the worker count for this process; None restores the default."""
-    global _OVERRIDE
-    if n is not None:
-        n = int(n)
-        if n < 1:
-            raise ConfigurationError("worker count must be positive, got %d" % n)
-    _OVERRIDE = n
 
 
 def worker_count():
-    if _OVERRIDE is not None:
-        return _OVERRIDE
-    env = os.environ.get("GEVREYKIT_WORKERS")
-    if env is not None:
-        try:
-            n = int(env)
-        except ValueError:
-            raise ConfigurationError("GEVREYKIT_WORKERS must be an integer, got %r" % env)
-        if n < 1:
-            raise ConfigurationError("GEVREYKIT_WORKERS must be positive, got %d" % n)
-        return n
-    return os.cpu_count() or 1
-
-
-def rep_map(fn, items):
-    """Map fn over items, in order, on up to worker_count() threads."""
-    items = list(items)
-    n = min(worker_count(), len(items))
-    if n <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
+    """Number of threads the transforms use: always 1."""
+    return 1

@@ -151,11 +151,6 @@ def wigner_d_cached(two_jmax, beta):
     return stack
 
 
-def two_j_of(spec, rep):
-    """Twice the spin of an SU(2) or SO(3) class."""
-    return rep.label[0] if spec.family == "su2" else 2 * rep.label[0]
-
-
 def rep_matrix(spec, rep, angles):
     """Representation matrix of one catalog class at one group element.
 
@@ -169,7 +164,7 @@ def rep_matrix(spec, rep, angles):
         k = np.asarray(rep.label, dtype=float)
         return np.array([[np.exp(1j * float(k @ x))]])
     alpha, beta, gamma = (float(a) for a in angles)
-    two_j = two_j_of(spec, rep)
+    two_j = rep.dim - 1
     d = wigner_d_matrix(two_j, np.array([beta]))[0]
     mvals = (two_j - 2 * np.arange(two_j + 1)) / 2.0
     return np.exp(-1j * mvals[:, None] * alpha) * d * np.exp(-1j * mvals[None, :] * gamma)

@@ -16,10 +16,6 @@ from .errors import DataError, DomainError
 from .fourier import CoefficientField, ranges
 
 
-def _fmt(x):
-    return float(repr(float(x)))
-
-
 def catalog_to_json(catalog):
     return json.dumps(
         [
@@ -76,7 +72,12 @@ def _parse_run(out, lines):
     flat = body.count("{") == body.count("}") == len(lines)
     if not flat or not all(t[0] == "{" and t[-1] == "}" for t in lines):
         raise ValueError("not one flat record per line")
+    # outside strings these only spell booleans, which numpy reads as 1 and 0
+    if "true" in body or "false" in body:
+        raise ValueError("boolean in a record")
     recs = json.loads("[%s]" % body)
+    if not all(type(c) is int for r in recs for c in r["label"]):
+        raise ValueError("non-integer label entry")
     cat = out.catalog
     pos = np.array([cat.position(r["label"]) for r in recs], dtype=int)
     d = cat.dims[pos]
@@ -110,11 +111,15 @@ def field_from_jsonl(text, catalog):
             continue
         try:
             rec = json.loads(line)
-            label = tuple(int(c) for c in rec["label"])
+            label = tuple(rec["label"])
+            if not all(type(c) is int for c in label):
+                raise ValueError("label entries must be integers, got %r" % (label,))
+            if not all(type(x) in (int, float) for row in rec["matrix"] for c in row for x in c):
+                raise ValueError("matrix entries must be numbers")
             mat = np.array([[complex(re, im) for re, im in row] for row in rec["matrix"]])
             if not np.isfinite(mat).all():
                 raise ValueError("non-finite entry")
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, OverflowError) as exc:
             raise DataError("bad coefficient record on line %d: %s" % (ln, exc))
         out[label] = mat
     return out

@@ -17,10 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolation, DomainError
-from .fourier import CoefficientField
+from .fourier import CoefficientField, inverse_transform
 from .gevrey import fourier_side_test, GevreyVerdict
 from .duality import ultra_membership_test
-from .quadrature import rep_matrix, tree_sum
 
 LEAKAGE_TOL = 1e-12
 
@@ -47,9 +46,6 @@ class ClassIStructure:
         l = self.invariant_index(label)
         d = self.catalog.lookup(label).dim
         return (l,) + tuple(i for i in range(d) if i != l)
-
-    def class_one_labels(self):
-        return [r.label for r in self.catalog]
 
 
 def _off_class_one(coeffs, structure):
@@ -92,55 +88,39 @@ def lift(sphere_samples, grid):
 def sphere_series(coeffs, structure, points):
     """Evaluate the restricted Fourier series at (beta, alpha) points.
 
-    Requires class-I-projected input; nonzero forbidden entries are a
-    contract violation.
+    The group series of the class-I projection, evaluated at the
+    gamma = 0 lift of each point.  Requires class-I-projected input;
+    forbidden entries above LEAKAGE_TOL are a contract violation.
     """
     bad = leakage(coeffs, structure)
     if bad > LEAKAGE_TOL:
         raise ContractViolation(
             "input is not class-I projected (leakage %.3e)" % bad
         )
-    spec = coeffs.catalog.spec
-    out = np.zeros(len(points), dtype=complex)
-    labels = coeffs.labels()
-    for i, (beta, alpha) in enumerate(points):
-        terms = np.empty(len(labels), dtype=complex)
-        for j, label in enumerate(labels):
-            rep = coeffs.catalog.lookup(label)
-            row = structure.invariant_index(label)
-            xi = rep_matrix(spec, rep, (alpha, beta, 0.0))
-            terms[j] = rep.dim * (xi[:, row] @ coeffs[label][row, :])
-        out[i] = tree_sum(terms) if len(terms) else 0.0
-    return out
+    return inverse_transform(project_class_one(coeffs, structure),
+                             [(alpha, beta, 0.0) for beta, alpha in points])
 
 
-def _leakage_verdict(seq, structure, s, mode):
-    off = np.where(_off_class_one(seq, structure), np.abs(seq.data), 0.0)
-    worst = np.maximum.reduceat(off, seq.catalog.offsets[:-1])
+def _class_one_verdict(test, coeffs, structure, s, mode):
+    """Class-I support check, then ``test`` on the projection."""
+    if s < 1:
+        raise DomainError("homogeneous-space tests require s >= 1")
+    off = np.where(_off_class_one(coeffs, structure), np.abs(coeffs.data), 0.0)
+    worst = np.maximum.reduceat(off, coeffs.catalog.offsets[:-1])
     if worst.max() > 1e-10:
         return GevreyVerdict(
             mode=mode, s=s, passed=False, margin=-float(worst.max()),
-            witness_label=seq.catalog.labels[np.flatnonzero(worst > 1e-10)[0]],
+            witness_label=coeffs.catalog.labels[np.flatnonzero(worst > 1e-10)[0]],
             flags=("class_one_leakage",),
         )
-    return None
+    return test(project_class_one(coeffs, structure), s, mode)
 
 
 def sphere_gevrey_test(coeffs, structure, s, mode):
     """Class-I support check, then the group-side decay classifier."""
-    if s < 1:
-        raise DomainError("homogeneous-space tests require s >= 1")
-    bad = _leakage_verdict(coeffs, structure, s, mode)
-    if bad is not None:
-        return bad
-    return fourier_side_test(project_class_one(coeffs, structure), s, mode)
+    return _class_one_verdict(fourier_side_test, coeffs, structure, s, mode)
 
 
 def sphere_ultra_test(seq, structure, s, mode):
     """Class-I support check, then the group-side growth classifier."""
-    if s < 1:
-        raise DomainError("homogeneous-space tests require s >= 1")
-    bad = _leakage_verdict(seq, structure, s, mode)
-    if bad is not None:
-        return bad
-    return ultra_membership_test(project_class_one(seq, structure), s, mode)
+    return _class_one_verdict(ultra_membership_test, seq, structure, s, mode)

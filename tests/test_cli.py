@@ -259,3 +259,27 @@ def test_classify_survives_overflowing_decay_constant(capsys, monkeypatch):
         assert code == 0
         assert verdict["pass"] is True
         assert verdict["K"] == "inf"
+
+
+def test_pair_refuses_overflowing_terms(capsys, monkeypatch, tmp_path):
+    huge = "".join('{"label": [%d], "matrix": [[[1e300, 0.0]]]}\n' % k for k in range(-2, 3))
+    seq_path = tmp_path / "seq.jsonl"
+    seq_path.write_text(huge)
+    code, out, err = run_cli(
+        capsys,
+        ["pair", "--group", "t1", "--cutoff", "3", "--sequence", str(seq_path)],
+        stdin_text=huge,
+        monkeypatch=monkeypatch,
+    )
+    assert code == 3
+    assert out == ""
+    assert "not finite" in err
+
+
+def test_catalog_cutoff_admission(capsys):
+    for group, cutoff, want in (("t1", "inf", 3), ("su2", "nan", 3), ("so3", "-inf", 3),
+                                ("t1", "1e12", 4)):
+        code, out, err = run_cli(capsys, ["catalog", "--group", group, "--cutoff=" + cutoff])
+        assert code == want
+        assert out == ""
+        assert "Traceback" not in err

@@ -162,3 +162,13 @@ def test_perfectness_roundtrip():
     assert out["passed"]
     for bp in (0.25, 0.5):
         assert out["series"][bp]["converged"]
+
+
+def test_pair_refuses_non_finite_terms():
+    # 1e300 * 1e300 overflows, and inf / inf would slip past the tail check
+    cat = enumerate_dual(T1, 10.0)
+    big = CoefficientField(cat)
+    for rep in cat:
+        big[rep.label] = np.array([[1e300 + 0j]])
+    with pytest.raises(IllPairedError, match="not finite"):
+        pair(big, big)

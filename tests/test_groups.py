@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from gevreykit.errors import DomainError
+from gevreykit import groups
+from gevreykit.errors import DomainError, ResourceError
 from gevreykit.groups import (
     GroupSpec,
     enumerate_dual,
@@ -124,3 +125,21 @@ def test_catalog_arrays_match_records():
         assert cat.offsets[-1] == sum(r.dim**2 for r in cat)
         with pytest.raises(ValueError):
             cat.brackets[0] = 2.0
+
+
+def test_non_finite_cutoff_rejected():
+    for cutoff in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError, match="finite"):
+            enumerate_dual(GroupSpec("torus", 1), cutoff)
+
+
+def test_candidate_budget_refuses_before_enumerating(monkeypatch):
+    monkeypatch.setattr(groups, "CATALOG_CANDIDATE_BUDGET", 25)
+    # (2 floor(c) + 1)^n on T^n, floor(2c) + 1 on SU(2), floor(c) + 1 on SO(3)
+    for spec, admitted, refused in ((GroupSpec("torus", 1), 12.9, 13.0),
+                                    (GroupSpec("torus", 2), 2.9, 3.0),
+                                    (GroupSpec("su2"), 12.4, 12.5),
+                                    (GroupSpec("so3"), 24.9, 25.0)):
+        assert len(enumerate_dual(spec, admitted)) > 0
+        with pytest.raises(ResourceError, match="25 candidate labels"):
+            enumerate_dual(spec, refused)

@@ -144,3 +144,22 @@ def test_field_jsonl_one_record_per_line():
     assert f.labels() == [(1,)]
     assert f[(1,)][0, 0] == 7.0 + 0.5j
     assert field_from_jsonl("", cat).labels() == []
+
+
+def test_field_jsonl_rejects_non_integer_labels():
+    cat = enumerate_dual(GroupSpec("torus", 1), 3.0)
+    good = '{"label": [0], "matrix": [[[1.0, 0.0]]]}\n'
+    for label in ("1.7", "1.0", '"2"', "true", "null"):
+        with pytest.raises(DataError, match="line 2"):
+            field_from_jsonl(good + '{"label": [%s], "matrix": [[[1.0, 0.0]]]}\n' % label, cat)
+
+
+def test_field_jsonl_rejects_non_numeric_entries():
+    cat = enumerate_dual(GroupSpec("torus", 1), 3.0)
+    good = '{"label": [0], "matrix": [[[1.0, 0.0]]]}\n'
+    for entry in ("[true, false]", "[1.0, false]", '["1", 0.0]', "[null, 0.0]",
+                  "[1%s, 0.0]" % ("0" * 400)):
+        with pytest.raises(DataError, match="line 2"):
+            field_from_jsonl(good + '{"label": [1], "matrix": [[%s]]}\n' % entry, cat)
+    # JSON integers are numbers
+    assert field_from_jsonl('{"label": [1], "matrix": [[[2, -1]]]}\n', cat)[(1,)][0, 0] == 2 - 1j

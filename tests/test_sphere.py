@@ -11,6 +11,7 @@ from gevreykit.gevrey import fourier_side_test, synthesize_gevrey
 from gevreykit.groups import GroupSpec, enumerate_dual
 from gevreykit.quadrature import build_grid
 from gevreykit.sphere import (
+    LEAKAGE_TOL,
     ClassIStructure,
     leakage,
     lift,
@@ -149,3 +150,19 @@ def test_series_matches_group_inverse():
     series = sphere_series(f, struct, pts)
     assert abs(series[0] - vals[4, 2, 0]) < 1e-10
     assert abs(series[1] - vals[1, 0, 0]) < 1e-10
+
+
+def test_series_ignores_leakage_below_tolerance():
+    rng = np.random.default_rng(44)
+    cat, grid, struct = _setup(6)
+    proj = project_class_one(synthesize_gevrey(cat, 1.0, 0.5, "dense"), struct)
+    noisy = proj.copy()
+    for rep in cat:
+        block = noisy[rep.label].copy()
+        l = struct.invariant_index(rep.label)
+        off = np.arange(rep.dim) != l
+        block[off, :] = 0.9 * LEAKAGE_TOL * np.exp(2j * np.pi * rng.random((rep.dim - 1, rep.dim)))
+        noisy[rep.label] = block
+    assert 0.0 < leakage(noisy, struct) <= LEAKAGE_TOL
+    pts = [(grid.beta[2], grid.alpha[4]), (0.3, 5.9), (2.8, 1.1)]
+    assert np.abs(sphere_series(noisy, struct, pts) - sphere_series(proj, struct, pts)).max() < 1e-14
