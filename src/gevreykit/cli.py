@@ -17,16 +17,7 @@ import numpy as np
 
 from . import __version__
 from .duality import pair, ultra_membership_test
-from .errors import (
-    ConfigurationError,
-    ContractViolation,
-    DataError,
-    DomainError,
-    GevreyKitError,
-    IllPairedError,
-    InsufficientDataError,
-    ResourceError,
-)
+from .errors import ConfigurationError, DataError, GevreyKitError, ResourceError
 from .fourier import (
     forward_transform,
     hausdorff_young_gap,
@@ -129,17 +120,19 @@ def _load_field(args, catalog):
     return field_from_jsonl(_read_text(_opt(args, "input")), catalog)
 
 
-def _expect_code(args, verdict_passed):
+def _report(args, verdict, out=None):
+    """Write ``out`` (by default the verdict's JSON) as one line and
+    return the exit code --expect asks for."""
+    _write_text(_opt(args, "output"), (verdict_to_json(verdict) if out is None else out) + "\n")
     expect = _opt(args, "expect")
     if expect is None:
         return EXIT_OK
     if expect not in ("pass", "fail"):
         raise ConfigurationError("--expect takes pass or fail, got %r" % expect)
-    wanted = expect == "pass"
-    if bool(verdict_passed) != wanted:
+    if verdict.passed != (expect == "pass"):
         print(
             "expectation not met: wanted %s, got %s"
-            % (expect, "pass" if verdict_passed else "fail"),
+            % (expect, "pass" if verdict.passed else "fail"),
             file=sys.stderr,
         )
         return EXIT_VERDICT
@@ -194,10 +187,8 @@ def cmd_classify(args):
         _write_text(dpath, decay_csv(coeffs))
     if side in ("fourier", "space"):
         test = fourier_side_test if side == "fourier" else space_side_test
-        verdict = test(coeffs, s, mode=mode)
-        out = verdict_to_json(verdict)
-        passed = verdict.passed
-    elif side == "both":
+        return _report(args, test(coeffs, s, mode=mode))
+    if side == "both":
         both = cross_check(coeffs, s, mode)
         out = json.dumps(
             {
@@ -206,21 +197,16 @@ def cmd_classify(args):
                 "agree": both["agree"],
             }
         )
-        passed = both["fourier"].passed
-    else:
-        raise ConfigurationError("--side takes fourier, space, or both")
-    _write_text(_opt(args, "output"), out + "\n")
-    return _expect_code(args, passed)
+        return _report(args, both["fourier"], out)
+    raise ConfigurationError("--side takes fourier, space, or both")
 
 
 def cmd_ultra_test(args):
     _, cat = _catalog(args)
     seq = _load_field(args, cat)
-    verdict = ultra_membership_test(
+    return _report(args, ultra_membership_test(
         seq, _opt(args, "s", required=True, cast=float), _opt(args, "mode", default="R")
-    )
-    _write_text(_opt(args, "output"), verdict_to_json(verdict) + "\n")
-    return _expect_code(args, verdict.passed)
+    ))
 
 
 def cmd_pair(args):
@@ -277,15 +263,10 @@ def cmd_sphere(args):
         _write_text(_opt(args, "output"), sphere_csv(grid, values))
         return EXIT_OK
     if action in ("test", "ultra"):
+        test = sphere_gevrey_test if action == "test" else sphere_ultra_test
         field = _load_field(args, cat)
-        s = _opt(args, "s", required=True, cast=float)
-        mode = _opt(args, "mode", default="R")
-        if action == "test":
-            verdict = sphere_gevrey_test(field, structure, s, mode)
-        else:
-            verdict = sphere_ultra_test(field, structure, s, mode)
-        _write_text(_opt(args, "output"), verdict_to_json(verdict) + "\n")
-        return _expect_code(args, verdict.passed)
+        return _report(args, test(field, structure, _opt(args, "s", required=True, cast=float),
+                                  _opt(args, "mode", default="R")))
     raise ConfigurationError(
         "--action takes project, lift, series, test, or ultra; got %r" % action
     )
@@ -483,17 +464,8 @@ def main(argv=None):
     except ResourceError as exc:
         print("resource error: %s" % exc, file=sys.stderr)
         return EXIT_RESOURCE
-    except (
-        DataError,
-        IllPairedError,
-        ContractViolation,
-        DomainError,
-        InsufficientDataError,
-    ) as exc:
+    except (GevreyKitError, ArithmeticError) as exc:
         print("data error: %s" % exc, file=sys.stderr)
-        return EXIT_DATA
-    except GevreyKitError as exc:
-        print("error: %s" % exc, file=sys.stderr)
         return EXIT_DATA
 
 

@@ -14,18 +14,19 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from .errors import DomainError, IllPairedError
 from .fourier import CoefficientField, _require_same_catalog, inverse_transform
 from .gevrey import (
-    GevreyVerdict,
     HS_FLOOR,
-    _degenerate_verdict,
+    _bracket_rates,
     _ls_line,
-    _norm_mode,
+    _open_verdict,
     _tertile_slopes,
+    _verdict,
     bracket_profile,
+    log_l1_bounds,
     profile_field,
 )
 from .quadrature import identity_element, rep_matrix, tree_sum
@@ -44,9 +45,7 @@ def growth_sequence(catalog, s, B, profile="diagonal", seed=0):
     Raises a domain error if any norm would overflow double precision;
     pick a smaller catalog cutoff in that case.
     """
-    if s <= 0 or B <= 0:
-        raise DomainError("s and B must be positive")
-    log_hs = [B * b ** (1.0 / s) for b in catalog.brackets.tolist()]
+    log_hs = _bracket_rates(catalog, s, B)
     for value, bracket in zip(log_hs, catalog.brackets.tolist()):
         if value > 700.0:
             raise DomainError("growth e^%.1f overflows at bracket %.1f; reduce the cutoff"
@@ -66,19 +65,17 @@ def ultra_membership_test(seq, s, mode):
     """
     if s < 1:
         raise DomainError("dual tests require s >= 1 (duality range restriction)")
-    mode = _norm_mode(mode)
-    hs = seq.hs_norms()
-    degenerate = _degenerate_verdict(seq.catalog, hs, s, mode)
-    if degenerate is not None:
-        return degenerate
+    mode, hs, vacuous = _open_verdict(seq, s, mode)
+    if vacuous is not None:
+        return vacuous
     brackets, logs, labels = bracket_profile(seq, hs)
     x = brackets ** (1.0 / s)
     if len(x) < 9:
+        # some exponential beats any short spectrum, so Beurling-dual
+        # membership holds vacuously
         slope = _ls_line(x, logs)[0] if len(x) >= 2 else 0.0
-        passed = slope <= GROWTH_EPS if mode == "roumieu" else True
-        return GevreyVerdict(mode=mode, s=s, passed=passed,
-                             margin=GROWTH_EPS - slope,
-                             flags=("short_spectrum",))
+        margin = GROWTH_EPS - slope if mode == "roumieu" else math.inf
+        return _verdict(mode, s, margin, flags=("short_spectrum",))
     (g_lo, g_mid, g_top), top_labels, excess = _tertile_slopes(x, logs, labels)
     extras = {"g_lower": g_lo, "g_middle": g_mid, "g_top": g_top}
     if mode == "roumieu":
@@ -87,13 +84,8 @@ def ultra_membership_test(seq, s, mode):
     else:
         # one exponential suffices: the slope must merely stop growing
         ceiling = BEURLING_DUAL_RATIO * max(g_mid, GROWTH_EPS)
-    margin = ceiling - g_top
-    passed = margin >= 0.0
     witness = top_labels[int(np.argmax(excess))]
-    return GevreyVerdict(
-        mode=mode, s=s, passed=passed, margin=margin,
-        witness_label=None if passed else witness, extras=extras,
-    )
+    return _verdict(mode, s, ceiling - g_top, witness, extras=extras)
 
 
 def alpha_dual_series_probe(seq, s, B):
@@ -125,17 +117,22 @@ def _pairing_terms(seq, coeffs):
     return terms[keep], cat.brackets[keep]
 
 
-def pairing_diagnostic(seq, coeffs):
-    """Cauchy check over the last decade of brackets."""
-    terms, brackets = _pairing_terms(seq, coeffs)
-    if len(terms) == 0:
-        return PairingDiagnostic(0.0, 0.0, 0.0, 0.0)
-    mags = np.abs(terms)
+def _tail_share(mags, brackets):
+    """Cauchy check over the last decade of brackets: the total of
+    ``mags``, its part on brackets >= max/10, that part's share of the
+    total, and the bracket where the decade starts."""
     total = float(mags.sum())
     cut = brackets.max() / 10.0
     tail = float(mags[brackets >= cut].sum())
-    frac = tail / total if total > 0 else 0.0
-    return PairingDiagnostic(total, tail, frac, cut)
+    return total, tail, tail / total if total > 0 else 0.0, cut
+
+
+def pairing_diagnostic(seq, coeffs):
+    """Cauchy check of the pairing terms over the last decade of brackets."""
+    terms, brackets = _pairing_terms(seq, coeffs)
+    if len(terms) == 0:
+        return PairingDiagnostic(0.0, 0.0, 0.0, 0.0)
+    return PairingDiagnostic(*_tail_share(np.abs(terms), brackets))
 
 
 def pair(seq, coeffs):
@@ -162,26 +159,10 @@ def pair(seq, coeffs):
 
 def _seminorm_log(coeffs, epsilon, s, k_cap):
     """log of sup_k eps^k (k!)^(-s) * l1-bound of ||(-L)^(k/2) phi||_inf."""
-    cat = coeffs.catalog
     hs = coeffs.hs_norms()
-    idx = np.flatnonzero(hs > HS_FLOOR)
-    if not len(idx):
-        return -math.inf
-    base = 1.5 * np.log(cat.dims[idx]) + np.log(hs[idx])
-    with np.errstate(divide="ignore"):
-        log_abs = 0.5 * np.log(cat.lambda_sq[idx])
-    best = -math.inf
-    for k in range(k_cap + 1):
-        if k == 0:
-            nk = float(logsumexp(base))
-        else:
-            terms = base + k * log_abs
-            finite = terms[np.isfinite(terms)]
-            if len(finite) == 0:
-                continue
-            nk = float(logsumexp(finite))
-        best = max(best, k * math.log(epsilon) - s * gammaln(k + 1.0) + nk)
-    return best
+    ks = np.arange(k_cap + 1)
+    nk, _ = log_l1_bounds(coeffs.catalog, hs, np.flatnonzero(hs > HS_FLOOR), ks)
+    return float(np.max(ks * math.log(epsilon) - s * gammaln(ks + 1.0) + nk))
 
 
 def continuity_modulus(seq, s, epsilon_grid, battery, k_cap=CONTINUITY_K_CAP):
@@ -215,17 +196,11 @@ def perfectness_roundtrip(coeffs, s, b_grid=(0.25, 0.5), points=None):
     """
     brackets, logs, _ = bracket_profile(coeffs)
     series = {}
-    all_converge = True
     for bp in b_grid:
-        log_terms = logs + bp * brackets ** (1.0 / s)
-        mags = np.exp(log_terms)
-        total = float(mags.sum())
-        cut = brackets.max() / 10.0
-        tail = float(mags[brackets >= cut].sum())
-        frac = tail / total if total > 0 else 0.0
+        total, _, frac, _ = _tail_share(np.exp(logs + bp * brackets ** (1.0 / s)), brackets)
         series[bp] = {"total": total, "tail_fraction": frac,
                       "converged": frac <= SERIES_TAIL_REL}
-        all_converge = all_converge and frac <= SERIES_TAIL_REL
+    all_converge = all(v["converged"] for v in series.values())
     if points is None:
         points = [identity_element(coeffs.catalog.spec)]
     direct = inverse_transform(coeffs, points)

@@ -14,7 +14,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import ContractViolation, DomainError
+from . import groups
+from .errors import ContractViolation, DomainError, ResourceError
 from .quadrature import band_for_catalog, rep_matrix, tree_sum, wigner_d_cached
 
 
@@ -28,10 +29,15 @@ class CoefficientField:
     the read-only ``blocks`` mapping hand out read-only views; write
     through ``field[label] = mat``.  Two fields are compatible only when
     built on the same catalog; cross-catalog arithmetic is refused
-    rather than zero-padded.
+    rather than zero-padded.  A catalog whose fields would hold more
+    than groups.FIELD_ENTRY_BUDGET entries is refused.
     """
 
     def __init__(self, catalog, blocks=None, data=None, present=None):
+        entries = int(catalog.offsets[-1])
+        if entries > groups.FIELD_ENTRY_BUDGET:
+            raise ResourceError("a field on this catalog holds %d entries, more than the %d allowed"
+                                % (entries, groups.FIELD_ENTRY_BUDGET))
         self.catalog = catalog
         self.data = np.zeros(catalog.offsets[-1], dtype=complex) if data is None else data
         self.present = np.zeros(len(catalog), dtype=bool) if present is None else present
@@ -41,9 +47,10 @@ class CoefficientField:
     @classmethod
     def identity(cls, catalog):
         """The identity matrix on every class."""
+        out = cls(catalog, present=np.ones(len(catalog), dtype=bool))
         row, col, _ = catalog.entry_index
-        present = np.ones(len(catalog), dtype=bool)
-        return cls(catalog, data=(row == col).astype(complex), present=present)
+        out.data[row == col] = 1.0
+        return out
 
     def __setitem__(self, label, mat):
         i = self.catalog.position(label)

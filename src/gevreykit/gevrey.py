@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .errors import DomainError, InsufficientDataError
+from .errors import DomainError, InsufficientDataError, ResourceError
 from .fourier import CoefficientField, ranges
 
 HS_FLOOR = 1e-290
@@ -76,6 +76,7 @@ def profile_field(catalog, log_hs, profile="diagonal", seed=0):
     """
     if profile not in PROFILES:
         raise DomainError("unknown profile %r" % (profile,))
+    out = CoefficientField(catalog)
     idx = np.flatnonzero(np.array(log_hs) >= math.log(HS_FLOOR))
     # libm exp, not numpy's vectorised one, keeps the bits CPU-independent
     hs = np.array([math.exp(log_hs[i]) for i in idx.tolist()])
@@ -98,10 +99,23 @@ def profile_field(catalog, log_hs, profile="diagonal", seed=0):
         for k in np.flatnonzero(n > 1).tolist():
             norms[k] = np.linalg.norm(values[start[k] : start[k] + n[k]])
         values = values * np.repeat(hs / norms, n)
-    out = CoefficientField(catalog)
     out.data[at] = values
     out.present[idx] = True
     return out
+
+
+def _bracket_rates(catalog, s, B):
+    """B <xi>^(1/s) per class in catalog order, inf where the power
+    overflows.  s and B must be positive and finite."""
+    if not (0.0 < s < math.inf and 0.0 < B < math.inf):
+        raise DomainError("s and B must be positive and finite, got s=%r, B=%r" % (s, B))
+    rates = []
+    for b in catalog.brackets.tolist():
+        try:
+            rates.append(B * b ** (1.0 / s))
+        except OverflowError:
+            rates.append(math.inf)
+    return rates
 
 
 def synthesize_gevrey(catalog, s, B, profile="diagonal", seed=0):
@@ -110,10 +124,7 @@ def synthesize_gevrey(catalog, s, B, profile="diagonal", seed=0):
     Classes whose target norm underflows double precision are omitted
     (they would round to the zero matrix anyway).
     """
-    if s <= 0 or B <= 0:
-        raise DomainError("s and B must be positive")
-    log_hs = [-B * b ** (1.0 / s) for b in catalog.brackets.tolist()]
-    return profile_field(catalog, log_hs, profile, seed)
+    return profile_field(catalog, [-r for r in _bracket_rates(catalog, s, B)], profile, seed)
 
 
 def bracket_profile(coeffs, hs=None):
@@ -186,19 +197,36 @@ def pinned_model(coeffs, s):
     return _pinned(brackets, logs, s)
 
 
-def _degenerate_verdict(catalog, hs, s, mode):
-    """Zero or trivial-only fields pass vacuously at every s.
+def _verdict(mode, s, margin, witness=None, **fields):
+    """The one place verdicts are built: a verdict passes exactly when its
+    margin is >= 0, and names a witness only when it fails."""
+    passed = bool(margin >= 0.0)
+    return GevreyVerdict(mode=mode, s=s, passed=passed, margin=margin,
+                         witness_label=None if passed else witness, **fields)
 
-    ``hs`` holds the field's per-class HS norms in catalog order.
-    """
+
+def _check_order(catalog, s):
+    """Refuse an order s that is not positive and finite, or so small
+    that the slope fits' <xi>^(2/s), summed over the catalog, overflow."""
+    if not 0.0 < s < math.inf:
+        raise DomainError("s must be positive and finite, got %r" % (s,))
+    if 2.0 * math.log(catalog.brackets.max()) / s + math.log(len(catalog)) > LOG_DBL_MAX:
+        raise DomainError("s = %r is too small for this catalog: <xi>^(2/s) overflows" % (s,))
+
+
+def _open_verdict(coeffs, s, mode):
+    """What every classifier starts with: the order check, the normalised
+    mode, the HS norms in catalog order and, for a zero or trivial-only
+    field, the verdict that passes vacuously (else None)."""
+    _check_order(coeffs.catalog, s)
+    mode = _norm_mode(mode)
+    hs = coeffs.hs_norms()
     nonzero = hs > HS_FLOOR
     if not nonzero.any():
-        return GevreyVerdict(mode=mode, s=s, passed=True, margin=math.inf,
-                             flags=("zero_field",))
-    if (catalog.lambda_sq[nonzero] == 0.0).all():
-        return GevreyVerdict(mode=mode, s=s, passed=True, margin=math.inf,
-                             flags=("constant_function",))
-    return None
+        return mode, hs, _verdict(mode, s, math.inf, flags=("zero_field",))
+    if (coeffs.catalog.lambda_sq[nonzero] == 0.0).all():
+        return mode, hs, _verdict(mode, s, math.inf, flags=("constant_function",))
+    return mode, hs, None
 
 
 def _tertile_slopes(x, logs, labels):
@@ -220,13 +248,9 @@ def fourier_side_test(coeffs, s, mode):
     and does not collapse relative to the middle one; Beurling requires
     the slope to strictly grow toward the tail.
     """
-    if s <= 0:
-        raise DomainError("s must be positive")
-    mode = _norm_mode(mode)
-    hs = coeffs.hs_norms()
-    degenerate = _degenerate_verdict(coeffs.catalog, hs, s, mode)
-    if degenerate is not None:
-        return degenerate
+    mode, hs, vacuous = _open_verdict(coeffs, s, mode)
+    if vacuous is not None:
+        return vacuous
     flags = () if s >= 1 else ("s_below_duality_range",)
     brackets, logs, labels = bracket_profile(coeffs, hs)
     x = brackets ** (1.0 / s)
@@ -237,14 +261,10 @@ def fourier_side_test(coeffs, s, mode):
     if len(x) < 9:
         # Too little spectrum for tertile slopes; fall back to one fit.
         if model is None:
-            return GevreyVerdict(mode=mode, s=s, passed=False, margin=-math.inf,
-                                 witness_label=labels[-1],
-                                 flags=flags + ("insufficient_data",))
-        passed = model.B >= B_MIN if mode == "roumieu" else False
+            return _verdict(mode, s, -math.inf, labels[-1],
+                            flags=flags + ("insufficient_data",))
         margin = model.B - B_MIN if mode == "roumieu" else -math.inf
-        return GevreyVerdict(mode=mode, s=s, passed=passed, margin=margin,
-                             model=model, witness_label=None,
-                             flags=flags + ("short_spectrum",))
+        return _verdict(mode, s, margin, model=model, flags=flags + ("short_spectrum",))
     slopes, top_labels, excess = _tertile_slopes(x, logs, labels)
     b_lo, b_mid, b_top = (-g for g in slopes)
     # witness: tail class exceeding the extrapolated middle-third decay most
@@ -259,11 +279,27 @@ def fourier_side_test(coeffs, s, mode):
     else:
         floor = max(b_mid, b_lo, B_MIN)
         margin = b_top / (BEURLING_SLOPE_RATIO * floor) - 1.0
-    passed = margin >= 0.0
-    return GevreyVerdict(
-        mode=mode, s=s, passed=passed, margin=margin, model=model,
-        witness_label=None if passed else witness, flags=flags, extras=extras,
-    )
+    return _verdict(mode, s, margin, witness, model=model, flags=flags, extras=extras)
+
+
+def log_l1_bounds(catalog, hs, idx, powers):
+    """For each power p, the logsumexp over the classes ``idx`` of
+    1.5 log d + log hs + p log|xi|, the log of the l1 bound on
+    ||(-L)^(p/2) f||_inf, and the catalog position of its largest term.
+
+    Classes with |xi| = 0 count only at p = 0; a power no class reaches
+    gives (-inf, -1).
+    """
+    base = 1.5 * np.log(catalog.dims[idx]) + np.log(hs[idx])
+    moving = catalog.lambda_sq[idx] > 0.0
+    idx_m, base_m = idx[moving], base[moving]
+    log_abs = 0.5 * np.log(catalog.lambda_sq[idx_m])
+    u, peaks = np.full(len(powers), -math.inf), np.full(len(powers), -1)
+    for i, p in enumerate(powers):
+        at, terms = (idx, base) if p == 0 else (idx_m, base_m + p * log_abs)
+        if len(terms):
+            u[i], peaks[i] = logsumexp(terms), at[np.argmax(terms)]
+    return u, peaks
 
 
 def space_side_test(coeffs, s, k_max=16, mode="roumieu"):
@@ -276,65 +312,40 @@ def space_side_test(coeffs, s, k_max=16, mode="roumieu"):
     by the truncation edge are excluded; if too few remain the spectrum
     cannot support the factorial scale and the verdict fails.
     """
-    if s <= 0:
-        raise DomainError("s must be positive")
     if k_max > 200:
-        from .errors import ResourceError
-
         raise ResourceError("k_max > 200 exceeds the factorial-scale budget")
     if k_max < 3:
         raise DomainError("k_max must be >= 3")
-    mode = _norm_mode(mode)
+    mode, hs, vacuous = _open_verdict(coeffs, s, mode)
+    if vacuous is not None:
+        return vacuous
     cat = coeffs.catalog
-    hs = coeffs.hs_norms()
-    degenerate = _degenerate_verdict(cat, hs, s, mode)
-    if degenerate is not None:
-        return degenerate
     flags = () if s >= 1 else ("s_below_duality_range",)
     idx = np.flatnonzero((hs > HS_FLOOR) & (cat.lambda_sq > 0.0))
-    base = 1.5 * np.log(cat.dims[idx]) + np.log(hs[idx])
-    log_abs = 0.5 * np.log(cat.lambda_sq[idx])
     ks = np.arange(1, k_max + 1)
-    u, peaks = np.empty(k_max), np.empty(k_max, dtype=int)
-    for i, k in enumerate(ks):
-        terms = base + 2.0 * k * log_abs
-        u[i], peaks[i] = logsumexp(terms), idx[np.argmax(terms)]
+    u, peaks = log_l1_bounds(cat, hs, idx, 2.0 * ks)
     log_rho = (u - s * gammaln(2.0 * ks + 1.0)) / (2.0 * ks)
     rho = np.array([math.exp(v) for v in log_rho.tolist()])
     usable = cat.brackets[peaks] < SATURATION_FRACTION * cat.brackets[idx].max()
     witness = cat.labels[peaks[-1]]
     extras = {"k": ks, "u": u, "rho": rho, "usable": usable}
-    if int(usable.sum()) < MIN_USABLE_K:
-        return GevreyVerdict(
-            mode=mode, s=s, passed=False, margin=-math.inf,
-            witness_label=witness, flags=flags + ("saturated_spectrum",),
-            extras=extras,
-        )
     half = k_max // 2
     early = rho[(ks >= 2) & (ks <= half) & usable]
-    late = rho[(ks >= half) & usable]
-    if len(early) == 0 or len(late) == 0:
-        return GevreyVerdict(
-            mode=mode, s=s, passed=False, margin=-math.inf,
-            witness_label=witness, flags=flags + ("saturated_spectrum",),
-            extras=extras,
-        )
+    late_mask = (ks >= half) & usable
+    late = rho[late_mask]
+    if int(usable.sum()) < MIN_USABLE_K or len(early) == 0 or len(late) == 0:
+        return _verdict(mode, s, -math.inf, witness,
+                        flags=flags + ("saturated_spectrum",), extras=extras)
     if mode == "roumieu":
         margin = RHO_WINDOW_FACTOR * float(np.median(early)) / float(late.max()) - 1.0
     else:
         # Beurling-true fields have log rho_k falling like -delta log k;
         # a plateau (boundary Roumieu) flattens out, so fit the late
         # window only, where the small-k transient has decayed.
-        late_mask = (ks >= half) & usable
         slope = _ls_line(np.log(2.0 * ks[late_mask]), np.log(rho[late_mask]))[0]
         margin = (BEURLING_RHO_LOG_SLOPE - slope) / abs(BEURLING_RHO_LOG_SLOPE)
         extras["rho_log_slope"] = slope
-    passed = margin >= 0.0
-    return GevreyVerdict(
-        mode=mode, s=s, passed=passed, margin=margin,
-        witness_label=None if passed else witness, flags=flags,
-        extras=extras,
-    )
+    return _verdict(mode, s, margin, witness, flags=flags, extras=extras)
 
 
 def cross_check(coeffs, s, mode, k_max=16):

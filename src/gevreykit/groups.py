@@ -23,6 +23,9 @@ FAMILIES = ("torus", "su2", "so3")
 
 # Most candidate labels enumerate_dual may examine for one catalog
 CATALOG_CANDIDATE_BUDGET = 1 << 20
+# Most packed entries (sum of d^2 over the catalog) one coefficient field
+# may hold; catalogs may be larger as long as no field is built on them
+FIELD_ENTRY_BUDGET = 1 << 25
 
 
 @dataclass(frozen=True)

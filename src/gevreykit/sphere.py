@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ContractViolation, DomainError
 from .fourier import CoefficientField, inverse_transform
-from .gevrey import fourier_side_test, GevreyVerdict
+from .gevrey import _check_order, _norm_mode, _verdict, fourier_side_test
 from .duality import ultra_membership_test
 
 LEAKAGE_TOL = 1e-12
@@ -105,14 +105,13 @@ def _class_one_verdict(test, coeffs, structure, s, mode):
     """Class-I support check, then ``test`` on the projection."""
     if s < 1:
         raise DomainError("homogeneous-space tests require s >= 1")
+    _check_order(coeffs.catalog, s)
     off = np.where(_off_class_one(coeffs, structure), np.abs(coeffs.data), 0.0)
     worst = np.maximum.reduceat(off, coeffs.catalog.offsets[:-1])
     if worst.max() > 1e-10:
-        return GevreyVerdict(
-            mode=mode, s=s, passed=False, margin=-float(worst.max()),
-            witness_label=coeffs.catalog.labels[np.flatnonzero(worst > 1e-10)[0]],
-            flags=("class_one_leakage",),
-        )
+        return _verdict(_norm_mode(mode), s, -float(worst.max()),
+                        coeffs.catalog.labels[np.flatnonzero(worst > 1e-10)[0]],
+                        flags=("class_one_leakage",))
     return test(project_class_one(coeffs, structure), s, mode)
 
 

@@ -283,3 +283,49 @@ def test_catalog_cutoff_admission(capsys):
         assert code == want
         assert out == ""
         assert "Traceback" not in err
+
+
+def test_orders_and_rates_that_are_not_finite_exit_3(capsys, monkeypatch):
+    group = ["--group", "so3", "--cutoff", "7"]
+    code, field, _ = run_cli(capsys, ["synthesize", *group, "--s", "2", "--B", "1"])
+    assert code == 0
+    for argv in (["classify", "--s", "nan"], ["classify", "--s", "inf"],
+                 ["classify", "--s=-inf", "--side", "space"], ["classify", "--s", "1e-320"],
+                 ["ultra-test", "--s", "inf"], ["ultra-test", "--s", "nan"],
+                 ["sphere", "--action", "test", "--s", "nan"],
+                 ["sphere", "--action", "ultra", "--s", "inf"],
+                 ["synthesize", "--s", "nan", "--B", "1"], ["synthesize", "--s", "inf", "--B", "1"],
+                 ["synthesize", "--s", "2", "--B", "nan"], ["synthesize", "--s", "2", "--B=-inf"]):
+        code, out, err = run_cli(capsys, [argv[0], *group, *argv[1:]],
+                                 stdin_text=field, monkeypatch=monkeypatch)
+        assert code == 3, argv
+        assert out == ""
+        assert "data error" in err and "Traceback" not in err
+
+
+def test_synthesize_omits_classes_whose_norms_underflow(capsys):
+    code, out, _ = run_cli(capsys, ["synthesize", "--group", "t1", "--cutoff", "50",
+                                    "--s", "0.001", "--B", "1"])
+    assert code == 0
+    assert [json.loads(line)["label"] for line in out.splitlines()] == [[0]]
+    assert "NaN" not in out and "Infinity" not in out
+
+
+def test_field_entry_budget_exits_4(capsys):
+    # 400,001 classes pass the candidate budget; their fields would hold ~1e16 entries
+    code, out, err = run_cli(capsys, ["synthesize", "--group", "su2", "--cutoff", "2e5",
+                                      "--s", "2", "--B", "1"])
+    assert code == 4
+    assert out == ""
+    assert "resource error" in err and "entries" in err
+
+
+def test_arithmetic_errors_exit_3(capsys, monkeypatch):
+    def overflowing(args):
+        raise OverflowError("math range error")
+
+    monkeypatch.setattr(cli, "cmd_catalog", overflowing)
+    code, out, err = run_cli(capsys, ["catalog", "--group", "t1", "--cutoff", "3"])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("data error")

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gevreykit import groups
 from gevreykit.duality import growth_sequence
+from gevreykit.errors import ResourceError
 from gevreykit.fourier import CoefficientField, hs_norm
 from gevreykit.gevrey import synthesize_gevrey
 from gevreykit.groups import GroupSpec, enumerate_dual
@@ -132,3 +134,21 @@ def test_synthesis_text_is_pinned(key):
     else:
         f = growth_sequence(cat, 2.0, 1.0, profile, seed=7)
     assert hashlib.sha256(field_to_jsonl(f).encode()).hexdigest() == PINNED[key]
+
+
+def test_field_entry_budget_refuses_before_allocating(monkeypatch):
+    builds = (CoefficientField, CoefficientField.identity,
+              lambda cat: synthesize_gevrey(cat, 2.0, 1.0, "diagonal"),
+              lambda cat: growth_sequence(cat, 2.0, 1.0, "random_phase"),
+              lambda cat: field_from_jsonl("", cat))
+    for cat in CATALOGS.values():
+        entries = int(cat.offsets[-1])
+        monkeypatch.setattr(groups, "FIELD_ENTRY_BUDGET", entries)
+        for build in builds:
+            build(cat)
+        monkeypatch.setattr(groups, "FIELD_ENTRY_BUDGET", entries - 1)
+        for build in builds:
+            with pytest.raises(ResourceError, match="%d entries" % entries):
+                build(cat)
+        # catalogs themselves stay admitted
+        assert len(enumerate_dual(cat.spec, cat.cutoff)) == len(cat)
