@@ -11,17 +11,19 @@ import math
 
 import numpy as np
 
-from .errors import ContractViolation, DomainError
-from .fourier import CoefficientField, plancherel_norm
+from .errors import DomainError
+from .fourier import (
+    CoefficientField,
+    _require_same_catalog,
+    lp_norm,
+    operator_norm,
+    plancherel_norm,
+)
 from .quadrature import tree_sum
 
 
 class Symbol(CoefficientField):
     """Matrix-valued function on the dual; same block discipline as fields."""
-
-
-def algebra_dim(spec):
-    return spec.torus_dim if spec.family == "torus" else 3
 
 
 def _angular_momentum(two_j):
@@ -42,7 +44,7 @@ def _angular_momentum(two_j):
 def vector_field_symbol(catalog, j):
     """Symbol of the left-invariant field X_j, i.e. dxi(X_j) per class."""
     spec = catalog.spec
-    n = algebra_dim(spec)
+    n = spec.manifold_dim
     if not 1 <= j <= n:
         raise DomainError("basis index %d outside 1..%d" % (j, n))
     if spec.family == "torus":
@@ -50,10 +52,6 @@ def vector_field_symbol(catalog, j):
         return Symbol(catalog, data=1j * k, present=np.ones(len(catalog), dtype=bool))
     return Symbol(catalog, {r.label: -1j * _angular_momentum(r.dim - 1)[j - 1]
                             for r in catalog})
-
-
-def identity_symbol(catalog):
-    return Symbol.identity(catalog)
 
 
 def canonical_word(alpha):
@@ -77,7 +75,7 @@ def word_to_alpha(word, n):
 
 def alpha_symbol(word, catalog):
     """Word-ordered product of first-order symbols; empty word is identity."""
-    sym = identity_symbol(catalog)
+    sym = Symbol.identity(catalog)
     firsts = {letter: vector_field_symbol(catalog, letter) for letter in set(word)}
     for letter in word:
         sym = Symbol(catalog, {r.label: sym[r.label] @ firsts[letter][r.label] for r in catalog})
@@ -86,8 +84,7 @@ def alpha_symbol(word, catalog):
 
 def apply_symbol(sym, coeffs):
     """Blockwise sym[xi] @ coeffs[xi]; spectral action of the operator."""
-    if sym.catalog is not coeffs.catalog and sym.catalog.labels != coeffs.catalog.labels:
-        raise ContractViolation("symbol and field live on different catalogs")
+    _require_same_catalog(sym, coeffs)
     return CoefficientField(coeffs.catalog, {l: sym[l] @ coeffs[l] for l in coeffs.labels()})
 
 
@@ -124,7 +121,7 @@ def derivative_l2_profile(coeffs, up_to):
     """L2 norms of every canonical derivative up to total order up_to."""
     if up_to < 0:
         raise DomainError("up_to must be >= 0")
-    n = algebra_dim(coeffs.catalog.spec)
+    n = coeffs.catalog.spec.manifold_dim
     out = {}
     for total in range(up_to + 1):
         for alpha in _multi_indices(n, total):
@@ -144,14 +141,10 @@ def _multi_indices(n, total):
 
 def linf_bound(coeffs):
     """l1 dual norm, a certified upper bound for the sup of the synthesis."""
-    from .fourier import lp_norm
-
     return lp_norm(coeffs, 1)
 
 
 def first_order_constant(catalog):
     """C0 = max_j sup_xi ||dxi(X_j)||_op / <xi> + 1, computed from the catalog."""
-    from .fourier import operator_norm
-
-    syms = [vector_field_symbol(catalog, j) for j in range(1, algebra_dim(catalog.spec) + 1)]
+    syms = [vector_field_symbol(catalog, j) for j in range(1, catalog.spec.manifold_dim + 1)]
     return max(operator_norm(sym[r.label]) / r.bracket for sym in syms for r in catalog) + 1.0

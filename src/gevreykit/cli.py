@@ -8,8 +8,6 @@ win on conflict.
 """
 
 import argparse
-import csv
-import io
 import json
 import sys
 
@@ -18,13 +16,8 @@ import numpy as np
 from . import __version__
 from .duality import pair, ultra_membership_test
 from .errors import ConfigurationError, DataError, GevreyKitError, ResourceError
-from .fourier import (
-    forward_transform,
-    hausdorff_young_gap,
-    inverse_on_grid,
-    matrix_norm_slacks,
-)
-from .gevrey import cross_check, fourier_side_test, space_side_test, synthesize_gevrey
+from .fourier import forward_transform, hausdorff_young_gap, inverse_on_grid
+from .gevrey import PROFILES, cross_check, fourier_side_test, space_side_test, synthesize_gevrey
 from .groups import GroupSpec, enumerate_dual, series_convergence_probe
 from .quadrature import band_for_catalog, build_grid
 from .serialize import (
@@ -32,9 +25,12 @@ from .serialize import (
     decay_csv,
     field_from_jsonl,
     field_to_jsonl,
+    partial_sums_csv,
     samples_from_csv,
     samples_to_csv,
     sphere_csv,
+    sphere_from_csv,
+    verdict_record,
     verdict_to_json,
 )
 from .sphere import (
@@ -45,7 +41,7 @@ from .sphere import (
     sphere_series,
     sphere_ultra_test,
 )
-from .verification import run_suite
+from .verification import matrix_norm_probe, run_suite
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
@@ -98,145 +94,130 @@ def _load_config(path):
     return cfg
 
 
-def _opt(args, name, default=None, required=False, cast=None):
+def _opt(args, name, default=None, required=False):
     """Flag value if given, else config value, else the default."""
     val = getattr(args, name, None)
+    if val is None and args._config.get(name) is not None:
+        val = _config_value(name, args._config[name])
     if val is None:
-        val = args._config.get(name, default)
+        val = default
     if val is None and required:
         raise ConfigurationError("missing required option --%s" % name.replace("_", "-"))
-    if val is not None and cast is not None:
-        val = cast(val)
+    return val
+
+
+def _config_value(name, val):
+    """A config-file value put through its option's declared type and choices."""
+    flags, kw = OPTIONS[name]
+    cast = kw.get("type", lambda v: v)
+    try:
+        if kw.get("action") == "append":
+            if not isinstance(val, list):
+                raise TypeError("a JSON list is expected")
+            val = [cast(v) for v in val]
+        else:
+            val = cast(val)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError("config value %r for %s: %s" % (val, flags[0], exc))
+    choices = kw.get("choices")
+    if choices is not None and val not in choices:
+        raise ConfigurationError("%s takes %s; got %r" % (flags[0], ", ".join(choices), val))
     return val
 
 
 def _catalog(args):
     spec = _parse_group(_opt(args, "group", required=True))
-    cutoff = _opt(args, "cutoff", required=True, cast=float)
-    return spec, enumerate_dual(spec, cutoff)
+    return spec, enumerate_dual(spec, _opt(args, "cutoff", required=True))
 
 
 def _load_field(args, catalog):
     return field_from_jsonl(_read_text(_opt(args, "input")), catalog)
 
 
+def _emit(args, text):
+    _write_text(_opt(args, "output"), text)
+    return EXIT_OK
+
+
 def _report(args, verdict, out=None):
     """Write ``out`` (by default the verdict's JSON) as one line and
     return the exit code --expect asks for."""
-    _write_text(_opt(args, "output"), (verdict_to_json(verdict) if out is None else out) + "\n")
+    _emit(args, (verdict_to_json(verdict) if out is None else out) + "\n")
     expect = _opt(args, "expect")
-    if expect is None:
+    if expect is None or verdict.passed == (expect == "pass"):
         return EXIT_OK
-    if expect not in ("pass", "fail"):
-        raise ConfigurationError("--expect takes pass or fail, got %r" % expect)
-    if verdict.passed != (expect == "pass"):
-        print(
-            "expectation not met: wanted %s, got %s"
-            % (expect, "pass" if verdict.passed else "fail"),
-            file=sys.stderr,
-        )
-        return EXIT_VERDICT
-    return EXIT_OK
+    print(
+        "expectation not met: wanted %s, got %s"
+        % (expect, "pass" if verdict.passed else "fail"),
+        file=sys.stderr,
+    )
+    return EXIT_VERDICT
 
 
 def cmd_catalog(args):
     _, cat = _catalog(args)
-    _write_text(_opt(args, "output"), catalog_to_json(cat) + "\n")
-    return EXIT_OK
+    return _emit(args, catalog_to_json(cat) + "\n")
 
 
 def cmd_transform(args):
     spec, cat = _catalog(args)
-    band = _opt(args, "band", cast=int)
+    band = _opt(args, "band")
     grid = build_grid(spec, band if band is not None else band_for_catalog(cat))
     if _opt(args, "inverse", default=False):
-        coeffs = _load_field(args, cat)
-        values = inverse_on_grid(coeffs, grid)
-        _write_text(_opt(args, "output"), samples_to_csv(values))
-        return EXIT_OK
+        return _emit(args, samples_to_csv(inverse_on_grid(_load_field(args, cat), grid)))
     samples = samples_from_csv(_read_text(_opt(args, "input")), grid.shape)
-    coeffs = forward_transform(grid, samples, cat)
-    _write_text(_opt(args, "output"), field_to_jsonl(coeffs))
-    return EXIT_OK
+    return _emit(args, field_to_jsonl(forward_transform(grid, samples, cat)))
 
 
 def cmd_synthesize(args):
     _, cat = _catalog(args)
     coeffs = synthesize_gevrey(
         cat,
-        _opt(args, "s", required=True, cast=float),
-        _opt(args, "B", required=True, cast=float),
+        _opt(args, "s", required=True),
+        _opt(args, "B", required=True),
         profile=_opt(args, "profile", default="diagonal"),
-        seed=_opt(args, "seed", default=0, cast=int),
+        seed=_opt(args, "seed", default=0),
     )
     dpath = _opt(args, "decay_csv")
     if dpath:
         _write_text(dpath, decay_csv(coeffs))
-    _write_text(_opt(args, "output"), field_to_jsonl(coeffs))
-    return EXIT_OK
+    return _emit(args, field_to_jsonl(coeffs))
+
+
+SIDES = {"fourier": fourier_side_test, "space": space_side_test, "both": cross_check}
 
 
 def cmd_classify(args):
     _, cat = _catalog(args)
     coeffs = _load_field(args, cat)
-    s = _opt(args, "s", required=True, cast=float)
+    s = _opt(args, "s", required=True)
     mode = _opt(args, "mode", default="R")
     side = _opt(args, "side", default="fourier")
     dpath = _opt(args, "decay_csv")
     if dpath:
         _write_text(dpath, decay_csv(coeffs))
-    if side in ("fourier", "space"):
-        test = fourier_side_test if side == "fourier" else space_side_test
-        return _report(args, test(coeffs, s, mode=mode))
-    if side == "both":
-        both = cross_check(coeffs, s, mode)
-        out = json.dumps(
-            {
-                "fourier": json.loads(verdict_to_json(both["fourier"])),
-                "space": json.loads(verdict_to_json(both["space"])),
-                "agree": both["agree"],
-            }
-        )
-        return _report(args, both["fourier"], out)
-    raise ConfigurationError("--side takes fourier, space, or both")
+    result = SIDES[side](coeffs, s, mode=mode)
+    if side != "both":
+        return _report(args, result)
+    out = json.dumps({"fourier": verdict_record(result["fourier"]),
+                      "space": verdict_record(result["space"]),
+                      "agree": result["agree"]})
+    return _report(args, result["fourier"], out)
 
 
 def cmd_ultra_test(args):
     _, cat = _catalog(args)
     seq = _load_field(args, cat)
     return _report(args, ultra_membership_test(
-        seq, _opt(args, "s", required=True, cast=float), _opt(args, "mode", default="R")
+        seq, _opt(args, "s", required=True), _opt(args, "mode", default="R")
     ))
 
 
 def cmd_pair(args):
     _, cat = _catalog(args)
-    seq_path = _opt(args, "sequence", required=True)
-    seq = field_from_jsonl(_read_text(seq_path), cat)
-    coeffs = _load_field(args, cat)
-    value = pair(seq, coeffs)
-    _write_text(
-        _opt(args, "output"),
-        json.dumps({"value": [value.real, value.imag]}) + "\n",
-    )
-    return EXIT_OK
-
-
-def _sphere_grid_values(text, grid):
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or rows[0] != ["beta", "alpha", "re", "im"]:
-        raise DataError("sphere CSV must start with the header beta,alpha,re,im")
-    body = [r for r in rows[1:] if r]
-    want = len(grid.beta) * len(grid.alpha)
-    if len(body) != want:
-        raise DataError("sphere CSV has %d rows, grid needs %d" % (len(body), want))
-    try:
-        flat = np.array([complex(float(r[2]), float(r[3])) for r in body])
-    except (ValueError, IndexError) as exc:
-        raise DataError("bad sphere row: %s" % exc)
-    if not np.isfinite(flat).all():
-        raise DataError("sphere CSV holds a non-finite value")
-    return flat.reshape(len(grid.beta), len(grid.alpha))
+    seq = field_from_jsonl(_read_text(_opt(args, "sequence", required=True)), cat)
+    value = pair(seq, _load_field(args, cat))
+    return _emit(args, json.dumps({"value": [value.real, value.imag]}) + "\n")
 
 
 def cmd_sphere(args):
@@ -247,29 +228,25 @@ def cmd_sphere(args):
     grid = build_grid(spec, band_for_catalog(cat))
     action = _opt(args, "action", required=True)
     if action == "project":
-        coeffs = project_class_one(_load_field(args, cat), structure)
-        _write_text(_opt(args, "output"), field_to_jsonl(coeffs))
-        return EXIT_OK
+        return _emit(args, field_to_jsonl(project_class_one(_load_field(args, cat), structure)))
     if action == "lift":
-        values = _sphere_grid_values(_read_text(_opt(args, "input")), grid)
-        _write_text(_opt(args, "output"), samples_to_csv(lift(values, grid)))
-        return EXIT_OK
+        values = sphere_from_csv(_read_text(_opt(args, "input")), grid)
+        return _emit(args, samples_to_csv(lift(values, grid)))
     if action == "series":
-        coeffs = _load_field(args, cat)
         points = [(b, a) for b in grid.beta for a in grid.alpha]
-        values = np.array(sphere_series(coeffs, structure, points)).reshape(
-            len(grid.beta), len(grid.alpha)
-        )
-        _write_text(_opt(args, "output"), sphere_csv(grid, values))
-        return EXIT_OK
-    if action in ("test", "ultra"):
-        test = sphere_gevrey_test if action == "test" else sphere_ultra_test
-        field = _load_field(args, cat)
-        return _report(args, test(field, structure, _opt(args, "s", required=True, cast=float),
-                                  _opt(args, "mode", default="R")))
-    raise ConfigurationError(
-        "--action takes project, lift, series, test, or ultra; got %r" % action
-    )
+        values = np.array(sphere_series(_load_field(args, cat), structure, points))
+        return _emit(args, sphere_csv(grid, values.reshape(len(grid.beta), len(grid.alpha))))
+    test = sphere_gevrey_test if action == "test" else sphere_ultra_test
+    field = _load_field(args, cat)
+    return _report(args, test(field, structure, _opt(args, "s", required=True),
+                              _opt(args, "mode", default="R")))
+
+
+def _trials(args, default):
+    trials = _opt(args, "trials", default=default)
+    if trials < 1:
+        raise ConfigurationError("--trials must be at least 1, got %d" % trials)
+    return trials
 
 
 def _probe_series(args):
@@ -277,58 +254,36 @@ def _probe_series(args):
     ts = _opt(args, "t")
     if not ts:
         raise ConfigurationError("probe --lemma series needs at least one --t")
-    ts = [float(t) for t in ts]
-    probes = [series_convergence_probe(cat, t) for t in ts]
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["bracket"] + ["partial_sum_t_%g" % t for t in ts])
-    for i, rep in enumerate(cat):
-        w.writerow(
-            ["%.17g" % rep.bracket] + ["%.17g" % p["partial_sums"][i] for p in probes]
-        )
-    _write_text(_opt(args, "output"), buf.getvalue())
-    return EXIT_OK
+    sums = [series_convergence_probe(cat, t)["partial_sums"] for t in ts]
+    return _emit(args, partial_sums_csv(cat, ts, sums))
 
 
 def _probe_hy(args):
     spec, cat = _catalog(args)
-    rng = np.random.default_rng(_opt(args, "seed", default=0, cast=int))
+    rng = np.random.default_rng(_opt(args, "seed", default=0))
     grid = build_grid(spec, band_for_catalog(cat))
     worst = [np.inf, np.inf]
-    trials = _opt(args, "trials", default=10, cast=int)
+    trials = _trials(args, 10)
     for _ in range(trials):
         samples = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
         coeffs = forward_transform(grid, samples, cat)
         gaps = hausdorff_young_gap(grid, samples, coeffs)
         worst = [min(w, g[1] - g[0]) for w, g in zip(worst, gaps)]
-    out = {"trials": trials, "smallest_slack": worst}
-    _write_text(_opt(args, "output"), json.dumps(out) + "\n")
-    return EXIT_OK
+    return _emit(args, json.dumps({"trials": trials, "smallest_slack": worst}) + "\n")
 
 
 def _probe_norms(args):
-    rng = np.random.default_rng(_opt(args, "seed", default=0, cast=int))
-    trials = _opt(args, "trials", default=100, cast=int)
-    worst = np.inf
-    for _ in range(trials):
-        d = int(rng.integers(1, 9))
-        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        for p, q in ((1, 2), (1, np.inf), (2, np.inf)):
-            worst = min(worst, *matrix_norm_slacks(a, p, q))
-    out = {"trials": trials, "smallest_slack": worst}
-    _write_text(_opt(args, "output"), json.dumps(out) + "\n")
-    return EXIT_OK
+    rng = np.random.default_rng(_opt(args, "seed", default=0))
+    trials = _trials(args, 100)
+    worst = matrix_norm_probe(rng, trials)
+    return _emit(args, json.dumps({"trials": trials, "smallest_slack": worst}) + "\n")
+
+
+PROBES = {"series": _probe_series, "hy": _probe_hy, "norms": _probe_norms}
 
 
 def cmd_probe(args):
-    lemma = _opt(args, "lemma", required=True)
-    if lemma == "series":
-        return _probe_series(args)
-    if lemma == "hy":
-        return _probe_hy(args)
-    if lemma == "norms":
-        return _probe_norms(args)
-    raise ConfigurationError("--lemma takes series, hy, or norms; got %r" % lemma)
+    return PROBES[_opt(args, "lemma", required=True)](args)
 
 
 def cmd_verify(args):
@@ -348,113 +303,86 @@ def cmd_verify(args):
         }
         for r in results
     ]
-    _write_text(_opt(args, "output"), json.dumps(payload) + "\n")
+    _emit(args, json.dumps(payload) + "\n")
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERDICT
 
 
-def _add_common(p):
-    p.add_argument("--config", help="JSON file of option defaults; flags win")
-    p.add_argument("--output", "-o", help="output path, - for stdout")
+# Every option once: its flags and argparse keywords.  The key is the
+# option's dest and its config-file key; `type` casts config values too.
+OPTIONS = {
+    "config": (("--config",), dict(help="JSON file of option defaults; flags win")),
+    "output": (("--output", "-o"), dict(help="output path, - for stdout")),
+    "group": (("--group",), dict(help="su2, so3, or t<n>")),
+    "cutoff": (("--cutoff",), dict(type=float, help="catalog bracket cutoff")),
+    "band": (("--band",), dict(type=int, help="grid band; default fits the catalog")),
+    "input": (("--input", "-i"), dict(help="input path, - for stdin")),
+    "inverse": (("--inverse",), dict(action="store_true", default=None,
+                                     help="coefficients JSONL to samples CSV instead")),
+    "s": (("--s",), dict(type=float, help="Gevrey order")),
+    "B": (("--B",), dict(type=float, help="decay rate")),
+    "profile": (("--profile",), dict(choices=PROFILES)),
+    "seed": (("--seed",), dict(type=int)),
+    "decay_csv": (("--decay-csv",), dict(help="also write decay CSV here")),
+    "mode": (("--mode",), dict(choices=("R", "B", "roumieu", "beurling"))),
+    "side": (("--side",), dict(choices=tuple(SIDES))),
+    "expect": (("--expect",), dict(choices=("pass", "fail"))),
+    "sequence": (("--sequence",), dict(help="sequence JSONL path")),
+    "action": (("--action",), dict(choices=("project", "lift", "series", "test", "ultra"))),
+    "lemma": (("--lemma",), dict(choices=tuple(PROBES))),
+    "t": (("--t",), dict(type=float, action="append", help="exponent for the series probe")),
+    "trials": (("--trials",), dict(type=int)),
+    "quick": (("--quick",), dict(action="store_true", default=None,
+                                 help="acceptance checks only")),
+}
 
 
-def _add_group(p, cutoff=True):
-    p.add_argument("--group", help="su2, so3, or t<n>")
-    if cutoff:
-        p.add_argument("--cutoff", type=float, help="catalog bracket cutoff")
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a usage error, like a bad config value."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigurationError(message)
 
 
 def build_parser():
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="gevreykit",
         description="Fourier analysis and Gevrey classification on compact groups",
     )
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("catalog", help="dump the dual catalog as JSON")
-    _add_common(p)
-    _add_group(p)
-    p.set_defaults(fn=cmd_catalog)
-
-    p = sub.add_parser("transform", help="samples CSV to coefficient JSONL")
-    _add_common(p)
-    _add_group(p)
-    p.add_argument("--band", type=int, help="grid band; default fits the catalog")
-    p.add_argument("--input", "-i", help="input path, - for stdin")
-    p.add_argument("--inverse", action="store_true", default=None,
-                   help="coefficients JSONL to samples CSV instead")
-    p.set_defaults(fn=cmd_transform)
-
-    p = sub.add_parser("synthesize", help="build a Gevrey coefficient field")
-    _add_common(p)
-    _add_group(p)
-    p.add_argument("--s", type=float, help="Gevrey order")
-    p.add_argument("--B", type=float, help="decay rate")
-    p.add_argument("--profile", choices=["diagonal", "dense", "random_phase"])
-    p.add_argument("--seed", type=int)
-    p.add_argument("--decay-csv", dest="decay_csv", help="also write decay CSV here")
-    p.set_defaults(fn=cmd_synthesize)
-
-    p = sub.add_parser("classify", help="Gevrey verdict for a coefficient field")
-    _add_common(p)
-    _add_group(p)
-    p.add_argument("--input", "-i", help="field JSONL, - for stdin")
-    p.add_argument("--s", type=float)
-    p.add_argument("--mode", choices=["R", "B", "roumieu", "beurling"])
-    p.add_argument("--side", choices=["fourier", "space", "both"])
-    p.add_argument("--expect", choices=["pass", "fail"])
-    p.add_argument("--decay-csv", dest="decay_csv", help="also write decay CSV here")
-    p.set_defaults(fn=cmd_classify)
-
-    p = sub.add_parser("ultra-test", help="ultradistribution membership verdict")
-    _add_common(p)
-    _add_group(p)
-    p.add_argument("--input", "-i", help="sequence JSONL, - for stdin")
-    p.add_argument("--s", type=float)
-    p.add_argument("--mode", choices=["R", "B", "roumieu", "beurling"])
-    p.add_argument("--expect", choices=["pass", "fail"])
-    p.set_defaults(fn=cmd_ultra_test)
-
-    p = sub.add_parser("pair", help="pair a sequence with a coefficient field")
-    _add_common(p)
-    _add_group(p)
-    p.add_argument("--sequence", help="sequence JSONL path")
-    p.add_argument("--input", "-i", help="field JSONL, - for stdin")
-    p.set_defaults(fn=cmd_pair)
-
-    p = sub.add_parser("sphere", help="class-I projection, lift, series, verdicts")
-    _add_common(p)
-    _add_group(p)
-    p.add_argument("--action", choices=["project", "lift", "series", "test", "ultra"])
-    p.add_argument("--input", "-i", help="input path, - for stdin")
-    p.add_argument("--s", type=float)
-    p.add_argument("--mode", choices=["R", "B", "roumieu", "beurling"])
-    p.add_argument("--expect", choices=["pass", "fail"])
-    p.set_defaults(fn=cmd_sphere)
-
-    p = sub.add_parser("probe", help="series, Hausdorff-Young, and norm probes")
-    _add_common(p)
-    _add_group(p)
-    p.add_argument("--lemma", choices=["series", "hy", "norms"])
-    p.add_argument("--t", action="append", help="exponent for the series probe")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.set_defaults(fn=cmd_probe)
-
-    p = sub.add_parser("verify", help="run the reproducible property suite")
-    _add_common(p)
-    p.add_argument("--quick", action="store_true", default=None,
-                   help="acceptance checks only")
-    p.set_defaults(fn=cmd_verify)
-
+    # looked up here, not at import, so a replaced cmd_* is the one run
+    grouped = ("group", "cutoff")
+    for name, fn, text, options in (
+        ("catalog", cmd_catalog, "dump the dual catalog as JSON", grouped),
+        ("transform", cmd_transform, "samples CSV to coefficient JSONL",
+         grouped + ("band", "input", "inverse")),
+        ("synthesize", cmd_synthesize, "build a Gevrey coefficient field",
+         grouped + ("s", "B", "profile", "seed", "decay_csv")),
+        ("classify", cmd_classify, "Gevrey verdict for a coefficient field",
+         grouped + ("input", "s", "mode", "side", "expect", "decay_csv")),
+        ("ultra-test", cmd_ultra_test, "ultradistribution membership verdict",
+         grouped + ("input", "s", "mode", "expect")),
+        ("pair", cmd_pair, "pair a sequence with a coefficient field",
+         grouped + ("sequence", "input")),
+        ("sphere", cmd_sphere, "class-I projection, lift, series, verdicts",
+         grouped + ("action", "input", "s", "mode", "expect")),
+        ("probe", cmd_probe, "series, Hausdorff-Young, and norm probes",
+         grouped + ("lemma", "t", "trials", "seed")),
+        ("verify", cmd_verify, "run the reproducible property suite", ("quick",)),
+    ):
+        p = sub.add_parser(name, help=text)
+        for opt in ("config", "output") + options:
+            flags, kw = OPTIONS[opt]
+            p.add_argument(*flags, dest=opt, **kw)
+        p.set_defaults(fn=fn)
     return top
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        args._config = _load_config(getattr(args, "config", None))
+        args = build_parser().parse_args(argv)
+        args._config = _load_config(args.config)
         return args.fn(args)
     except BrokenPipeError:
         return EXIT_OK

@@ -40,11 +40,6 @@ class RepInfo:
     def bracket(self):
         return math.sqrt(1.0 + self.lambda_sq)
 
-    @property
-    def eigenvalue(self):
-        """The first-order weight |xi| = sqrt(lambda^2)."""
-        return math.sqrt(self.lambda_sq)
-
 
 @dataclass(frozen=True)
 class GroupSpec:
@@ -208,6 +203,8 @@ def series_convergence_probe(catalog, t):
     per-rep terms, running partial sums, and the relative size of the
     final increment, which a caller inspects for Cauchy decay.
     """
+    if not math.isfinite(t):
+        raise DomainError("exponent t must be finite, got %r" % (t,))
     br = catalog.brackets
     d = catalog.dims.astype(float)
     terms = d * d * br ** (-2.0 * t)

@@ -1,5 +1,5 @@
 """Persisted formats: catalog JSON, coefficient JSON-lines, sample CSV,
-decay CSV, sphere CSV, and verdict JSON.
+decay CSV, sphere CSV, partial-sum CSV, and verdict JSON.
 
 Float fields are written with 17 significant digits so a load/save
 round-trip is bit-exact.
@@ -125,26 +125,48 @@ def field_from_jsonl(text, catalog):
     return out
 
 
-def samples_to_csv(values):
-    """Node-major (C-order) flattening, columns re, im."""
+SAMPLE_HEADER = ["re", "im"]
+SPHERE_HEADER = ["beta", "alpha", "re", "im"]
+
+
+def _csv_text(header, rows):
     buf = io.StringIO()
     w = csv.writer(buf)
-    w.writerow(["re", "im"])
-    for v in np.asarray(values, dtype=complex).ravel():
-        w.writerow(["%.17g" % v.real, "%.17g" % v.imag])
+    w.writerow(header)
+    w.writerows(rows)
     return buf.getvalue()
 
 
-def samples_from_csv(text, shape):
+def _g17(*xs):
+    """Each number with 17 significant digits, enough to read back exactly."""
+    return ["%.17g" % x for x in xs]
+
+
+def samples_to_csv(values):
+    """Node-major (C-order) flattening, columns re, im."""
+    return _csv_text(SAMPLE_HEADER, (_g17(v.real, v.imag)
+                                     for v in np.asarray(values, dtype=complex).ravel()))
+
+
+def _csv_values(text, kind, header):
+    """Flat complex array from the last two columns (re, im) of the rows
+    of a CSV that starts with ``header``; blank rows are skipped."""
     rows = list(csv.reader(io.StringIO(text)))
-    if not rows or rows[0] != ["re", "im"]:
-        raise DataError("sample CSV must start with the header re,im")
+    if not rows or rows[0] != header:
+        raise DataError("%s CSV must start with the header %s" % (kind, ",".join(header)))
+    re, im = len(header) - 2, len(header) - 1
     try:
-        flat = np.array([complex(float(r[0]), float(r[1])) for r in rows[1:] if r])
+        flat = np.array([complex(float(r[re]), float(r[im])) for r in rows[1:] if r])
     except (ValueError, IndexError) as exc:
-        raise DataError("bad sample row: %s" % exc)
+        raise DataError("bad %s row: %s" % (kind, exc))
     if not np.isfinite(flat).all():
-        raise DataError("sample CSV holds a non-finite value")
+        raise DataError("%s CSV holds a non-finite value" % kind)
+    return flat
+
+
+def samples_from_csv(text, shape):
+    """Inverse of samples_to_csv.  Non-finite values are refused."""
+    flat = _csv_values(text, "sample", SAMPLE_HEADER)
     if flat.size != int(np.prod(shape)):
         raise DataError(
             "sample count %d does not fill grid shape %r" % (flat.size, tuple(shape))
@@ -154,48 +176,57 @@ def samples_from_csv(text, shape):
 
 def decay_csv(coeffs):
     """Columns bracket, dim, hs_norm, log_hs_norm over nonzero classes."""
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["bracket", "dim", "hs_norm", "log_hs_norm"])
     cat = coeffs.catalog
     hs = coeffs.hs_norms()
-    for i in np.flatnonzero(hs > 0.0).tolist():
-        w.writerow(["%.17g" % cat.brackets[i], cat.dims[i], "%.17g" % hs[i],
-                    "%.17g" % math.log(hs[i])])
-    return buf.getvalue()
+    return _csv_text(["bracket", "dim", "hs_norm", "log_hs_norm"], (
+        _g17(cat.brackets[i]) + [cat.dims[i]] + _g17(hs[i], math.log(hs[i]))
+        for i in np.flatnonzero(hs > 0.0).tolist()))
 
 
 def sphere_csv(grid, sphere_values):
     """Rows (beta, alpha, re, im) over the (beta, alpha) projected grid."""
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["beta", "alpha", "re", "im"])
     vals = np.asarray(sphere_values, dtype=complex)
-    for bi, beta in enumerate(grid.beta):
-        for ai, alpha in enumerate(grid.alpha):
-            v = vals[bi, ai]
-            w.writerow(
-                ["%.17g" % beta, "%.17g" % alpha, "%.17g" % v.real, "%.17g" % v.imag]
-            )
-    return buf.getvalue()
+    return _csv_text(SPHERE_HEADER, (
+        _g17(beta, alpha, vals[bi, ai].real, vals[bi, ai].imag)
+        for bi, beta in enumerate(grid.beta) for ai, alpha in enumerate(grid.alpha)))
+
+
+def sphere_from_csv(text, grid):
+    """Inverse of sphere_csv: the (beta, alpha) array of values, rows in
+    the grid's order; the angle columns are not read back."""
+    flat = _csv_values(text, "sphere", SPHERE_HEADER)
+    want = len(grid.beta) * len(grid.alpha)
+    if flat.size != want:
+        raise DataError("sphere CSV has %d rows, grid needs %d" % (flat.size, want))
+    return flat.reshape(len(grid.beta), len(grid.alpha))
+
+
+def partial_sums_csv(catalog, ts, sums):
+    """Columns bracket and partial_sum_t_<t> for each exponent t, one row
+    per class; ``sums`` holds the partial sums for each t in catalog order."""
+    return _csv_text(["bracket"] + ["partial_sum_t_%g" % t for t in ts],
+                     (_g17(*col) for col in zip(catalog.brackets.tolist(), *sums)))
+
+
+def verdict_record(verdict):
+    """The verdict as a JSON-ready dict; infinities are written as strings."""
+    model = verdict.model
+    return {
+        "s": verdict.s,
+        "mode": "R" if verdict.mode == "roumieu" else "B",
+        "pass": bool(verdict.passed),
+        "margin": verdict.margin if math.isfinite(verdict.margin) else (
+            "inf" if verdict.margin > 0 else "-inf"
+        ),
+        "B": model.B if model else None,
+        "K": None if model is None else ("inf" if model.K == math.inf else model.K),
+        "r2": model.r2 if model else None,
+        "witness_label": list(verdict.witness_label)
+        if verdict.witness_label is not None
+        else None,
+        "flags": list(verdict.flags),
+    }
 
 
 def verdict_to_json(verdict):
-    model = verdict.model
-    return json.dumps(
-        {
-            "s": verdict.s,
-            "mode": "R" if verdict.mode == "roumieu" else "B",
-            "pass": bool(verdict.passed),
-            "margin": verdict.margin if math.isfinite(verdict.margin) else (
-                "inf" if verdict.margin > 0 else "-inf"
-            ),
-            "B": model.B if model else None,
-            "K": None if model is None else ("inf" if model.K == math.inf else model.K),
-            "r2": model.r2 if model else None,
-            "witness_label": list(verdict.witness_label)
-            if verdict.witness_label is not None
-            else None,
-            "flags": list(verdict.flags),
-        }
-    )
+    return json.dumps(verdict_record(verdict))

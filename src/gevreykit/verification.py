@@ -10,9 +10,16 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import sph_harm_y
 
-from .groups import GroupSpec, enumerate_dual, series_convergence_probe
-from .quadrature import band_for_catalog, build_grid, random_element
+from .groups import (
+    GroupSpec,
+    enumerate_dual,
+    exp_dominance_check,
+    series_convergence_probe,
+    weyl_dimension_report,
+)
+from .quadrature import band_for_catalog, build_grid, identity_element, random_element
 from . import calculus, duality, fourier, gevrey, sphere
 
 
@@ -27,8 +34,9 @@ class CheckResult:
 def _timed(fn):
     def wrapper(*args, **kwargs):
         t0 = time.perf_counter()
-        name, passed, detail = fn(*args, **kwargs)
-        return CheckResult(name, passed, detail, time.perf_counter() - t0)
+        passed, detail = fn(*args, **kwargs)
+        return CheckResult(fn.__name__.removeprefix("check_"), passed, detail,
+                           time.perf_counter() - t0)
 
     return wrapper
 
@@ -77,7 +85,6 @@ def check_plancherel_inversion(trials=20, seed=100):
             worst_pg = max(worst_pg, abs(ip_grid - fourier.plancherel_inner(f, g)))
     ok = worst_rt < 1e-10 and worst_pg < 1e-10
     return (
-        "plancherel_inversion",
         ok,
         "round-trip %.2e, Parseval gap %.2e (tol 1e-10)" % (worst_rt, worst_pg),
     )
@@ -87,19 +94,15 @@ def check_plancherel_inversion(trials=20, seed=100):
 def check_schur_orthogonality(band=12):
     spec = GroupSpec("su2")
     grid = build_grid(spec, band)
-    from .quadrature import wigner_d_cached
-
-    dstack = wigner_d_cached(band, grid.beta)
+    two_band, ea, eg, dstack = fourier._euler_tables(grid)
     rows = []
     dims = []
-    ea = np.exp(0.5j * np.outer(np.arange(-band, band + 1), grid.alpha))
-    eg = np.exp(0.5j * np.outer(np.arange(-band, band + 1), grid.gamma))
     sqw = np.sqrt(grid.weights())
-    for two_j in range(band + 1):
+    for two_j in range(two_band + 1):
         for i1 in range(two_j + 1):
             for i2 in range(two_j + 1):
-                m_idx = band + two_j - 2 * i1
-                n_idx = band + two_j - 2 * i2
+                m_idx = two_band + two_j - 2 * i1
+                n_idx = two_band + two_j - 2 * i2
                 coef = (
                     np.conj(ea[m_idx])[:, None, None]
                     * dstack[two_j][None, :, i1, i2, None]
@@ -112,7 +115,6 @@ def check_schur_orthogonality(band=12):
     target = np.diag(1.0 / np.array(dims, dtype=float))
     resid = float(np.abs(gram - target).max())
     return (
-        "schur_orthogonality",
         resid < 1e-11,
         "max residual %.2e over %d coefficient pairs (tol 1e-11)"
         % (resid, mat.shape[0] ** 2),
@@ -133,25 +135,28 @@ def check_hausdorff_young(trials=50, seed=200):
             )
             worst = min(worst, l1_f - linf_dual, l1_dual - sup_f)
     return (
-        "hausdorff_young",
         worst >= -1e-9,
         "smallest slack %.2e (allowed >= -1e-9)" % worst,
     )
 
 
-@_timed
-def check_matrix_norm_lemma(trials=100, seed=300):
-    rng = np.random.default_rng(seed)
+def matrix_norm_probe(rng, trials):
+    """Smallest slack of the entrywise norm comparisons, (p, q) = (1, 2),
+    (1, inf), (2, inf), over ``trials`` complex Gaussian d x d matrices
+    with d drawn from 1..8."""
     worst = math.inf
-    pairs = [(1, 2), (1, math.inf), (2, math.inf)]
     for _ in range(trials):
         d = int(rng.integers(1, 9))
         a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        for p, q in pairs:
-            s1, s2 = fourier.matrix_norm_slacks(a, p, q)
-            worst = min(worst, s1, s2)
+        for p, q in ((1, 2), (1, math.inf), (2, math.inf)):
+            worst = min(worst, *fourier.matrix_norm_slacks(a, p, q))
+    return worst
+
+
+@_timed
+def check_matrix_norm_lemma(trials=100, seed=300):
+    worst = matrix_norm_probe(np.random.default_rng(seed), trials)
     return (
-        "matrix_norm_lemma",
         worst >= -1e-12,
         "smallest slack %.2e (allowed >= -1e-12)" % worst,
     )
@@ -171,7 +176,6 @@ def check_series_convergence():
     far = series_convergence_probe(enumerate_dual(GroupSpec("su2"), 1500.0), 2.0)
     ok = inc2 < 1e-5 and inc15 > 1e-4 and mono and far["last_relative_increment"] < 1e-6
     return (
-        "series_convergence",
         ok,
         "relative increment t=2.0: %.2e (<1e-5 at 500, %.2e at 1500), "
         "t=1.5: %.2e (>1e-4), monotone %s"
@@ -192,7 +196,7 @@ def check_casimir_factorization(cutoff=20.0):
             float(np.linalg.norm(total + rep.lambda_sq * np.eye(rep.dim))),
         )
     worst_fac = 0.0
-    n = calculus.algebra_dim(spec)
+    n = spec.manifold_dim
     for total in range(5):
         for alpha in calculus._multi_indices(n, total):
             word = calculus.canonical_word(alpha)
@@ -206,7 +210,6 @@ def check_casimir_factorization(cutoff=20.0):
                 worst_fac = max(worst_fac, float(np.abs(resid).max()))
     ok = worst_cas < 1e-10 and worst_fac < 1e-10
     return (
-        "casimir_factorization",
         ok,
         "Casimir residual %.2e, factorization residual %.2e (tol 1e-10)"
         % (worst_cas, worst_fac),
@@ -243,7 +246,6 @@ def check_gevrey_equivalence():
                     disagreements += 1
     ok = fit_ok and disagreements == 0
     return (
-        "gevrey_equivalence",
         ok,
         "fits [%s]; side disagreements %d/%d" % ("; ".join(details), disagreements, combos),
     )
@@ -260,8 +262,6 @@ def check_duality(seed=400):
     )
     band_cat = enumerate_dual(su2, math.sqrt(1 + 6.0 * 7.0))
     phi = _random_field(cat, rng, band_cat)
-    from .quadrature import identity_element
-
     paired = duality.pair(delta, phi)
     at_e = fourier.inverse_transform(phi, [identity_element(su2)])[0]
     pair_err = abs(paired - at_e)
@@ -273,7 +273,6 @@ def check_duality(seed=400):
     growth_ok = vb.passed and not vr.passed and vr.witness_label is not None
     ok = delta_ok and pair_err < 1e-9 and growth_ok
     return (
-        "duality",
         ok,
         "delta R-dual %s; pairing err %.2e (tol 1e-9); growth B=%s/R=%s witness %s"
         % (delta_ok, pair_err, vb.passed, vr.passed, vr.witness_label),
@@ -289,7 +288,6 @@ def check_perfectness(seed=500):
     points = [random_element(spec, rng) for _ in range(5)]
     report = duality.perfectness_roundtrip(f, 2.0, (0.25, 0.5), points)
     return (
-        "perfectness",
         report["passed"],
         "converged %s, re-synthesis mismatch %.2e (tol 1e-10)"
         % (report["converged"], report["resynthesis_mismatch"]),
@@ -298,8 +296,6 @@ def check_perfectness(seed=500):
 
 @_timed
 def check_sphere(seed=600):
-    from scipy.special import sph_harm_y
-
     rng = np.random.default_rng(seed)
     spec = GroupSpec("so3")
     lmax = 10
@@ -335,7 +331,6 @@ def check_sphere(seed=600):
             verdict_eq = verdict_eq and v_sphere.passed == v_group.passed
     ok = worst_rt < 1e-9 and idem and worst_leak < 1e-10 and verdict_eq
     return (
-        "sphere",
         ok,
         "Y_lm round-trip %.2e (tol 1e-9), leakage %.2e (tol 1e-10), "
         "idempotent %s, verdicts agree %s" % (worst_rt, worst_leak, idem, verdict_eq),
@@ -359,8 +354,6 @@ QUICK_CHECKS = [
 @_timed
 def check_extended_probes(seed=700):
     """Extra invariants outside the acceptance gate (full verify only)."""
-    from .groups import exp_dominance_check, weyl_dimension_report
-
     rng = np.random.default_rng(seed)
     ok = True
     notes = []
@@ -386,7 +379,7 @@ def check_extended_probes(seed=700):
         worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
     ok = ok and worst < 1e-9
     notes.append("pairing linearity %.2e" % worst)
-    return ("extended_probes", ok, "; ".join(notes))
+    return ok, "; ".join(notes)
 
 
 FULL_CHECKS = QUICK_CHECKS + [check_extended_probes]

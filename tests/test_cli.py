@@ -329,3 +329,47 @@ def test_arithmetic_errors_exit_3(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err.startswith("data error")
+
+
+def test_probe_refuses_fewer_than_one_trial(capsys):
+    for argv in (["probe", "--lemma", "norms", "--trials", "0"],
+                 ["probe", "--lemma", "hy", "--group", "su2", "--cutoff", "3", "--trials", "-2"]):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("usage error") and "--trials" in err
+
+
+def test_probe_series_exponent_must_be_a_finite_number(capsys):
+    argv = ["probe", "--lemma", "series", "--group", "su2", "--cutoff", "10", "--t"]
+    code, out, err = run_cli(capsys, argv + ["abc"])
+    assert code == 2
+    assert out == ""
+    assert "usage error" in err and "--t" in err and "Traceback" not in err
+    for bad in ("nan", "inf", "-inf"):
+        code, out, err = run_cli(capsys, argv[:-1] + ["--t=" + bad])
+        assert code == 3, bad
+        assert out == ""
+        assert "data error" in err and "finite" in err
+
+
+def test_config_values_take_the_declared_types(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    field = tmp_path / "field.jsonl"
+    field.write_text('{"label": [0], "matrix": [[[1.0, 0.0]]]}\n')
+    for argv, body, name in (
+            (["catalog"], {"group": "t1", "cutoff": "abc"}, "--cutoff"),
+            (["probe"], {"lemma": "norms", "trials": [3]}, "--trials"),
+            (["classify", "--group", "t1", "--cutoff", "3", "--s", "1", "-i", str(field)],
+             {"side": "sideways"}, "--side"),
+            (["probe", "--lemma", "series", "--group", "su2", "--cutoff", "10"], {"t": "12"},
+             "--t")):
+        cfg.write_text(json.dumps(body))
+        code, out, err = run_cli(capsys, argv + ["--config", str(cfg)])
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("usage error") and name in err and "Traceback" not in err
+    cfg.write_text(json.dumps({"lemma": "series", "group": "su2", "cutoff": 10, "t": [1.5, "2"]}))
+    code, out, _ = run_cli(capsys, ["probe", "--config", str(cfg)])
+    assert code == 0
+    assert out == run_cli(capsys, ["probe", "--lemma", "series", "--group", "su2",
+                                   "--cutoff", "10", "--t", "1.5", "--t", "2"])[1]

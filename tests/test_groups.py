@@ -143,3 +143,10 @@ def test_candidate_budget_refuses_before_enumerating(monkeypatch):
         assert len(enumerate_dual(spec, admitted)) > 0
         with pytest.raises(ResourceError, match="25 candidate labels"):
             enumerate_dual(spec, refused)
+
+
+def test_series_probe_refuses_non_finite_exponent():
+    cat = enumerate_dual(GroupSpec("su2"), 10.0)
+    for t in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            series_convergence_probe(cat, t)

@@ -17,6 +17,8 @@ from gevreykit.serialize import (
     samples_from_csv,
     samples_to_csv,
     sphere_csv,
+    sphere_from_csv,
+    verdict_record,
     verdict_to_json,
 )
 
@@ -163,3 +165,34 @@ def test_field_jsonl_rejects_non_numeric_entries():
             field_from_jsonl(good + '{"label": [1], "matrix": [[%s]]}\n' % entry, cat)
     # JSON integers are numbers
     assert field_from_jsonl('{"label": [1], "matrix": [[[2, -1]]]}\n', cat)[(1,)][0, 0] == 2 - 1j
+
+
+def test_sphere_csv_round_trip_exact():
+    rng = np.random.default_rng(8)
+    grid = build_grid(GroupSpec("so3"), 5)
+    shape = (len(grid.beta), len(grid.alpha))
+    vals = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape) + 1j * (
+        rng.standard_normal(shape))
+    back = sphere_from_csv(sphere_csv(grid, vals), grid)
+    assert back.shape == shape
+    assert np.array_equal(back.view(float), vals.view(float))
+
+
+def test_sphere_csv_refusals():
+    grid = build_grid(GroupSpec("so3"), 3)
+    text = sphere_csv(grid, np.ones((len(grid.beta), len(grid.alpha)), dtype=complex))
+    lines = text.splitlines(keepends=True)
+    with pytest.raises(DataError, match="header beta,alpha,re,im"):
+        sphere_from_csv("re,im\n" + "".join(lines[1:]), grid)
+    with pytest.raises(DataError, match="has %d rows, grid needs %d" % (len(lines) - 2,
+                                                                        len(lines) - 1)):
+        sphere_from_csv("".join(lines[:-1]), grid)
+    for bad in ("nan", "inf", "1e400"):
+        with pytest.raises(DataError, match="non-finite"):
+            sphere_from_csv(text.replace(",1,0\r\n", ",%s,0\r\n" % bad, 1), grid)
+
+
+def test_verdict_json_is_the_record():
+    cat = enumerate_dual(GroupSpec("torus", 1), 200.0)
+    v = fourier_side_test(synthesize_gevrey(cat, 1.0, 1.0), 2.0, "R")
+    assert json.loads(verdict_to_json(v)) == verdict_record(v)
