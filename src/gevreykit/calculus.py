@@ -26,21 +26,6 @@ class Symbol(CoefficientField):
     """Matrix-valued function on the dual; same block discipline as fields."""
 
 
-def _angular_momentum(two_j):
-    """J_x, J_y, J_z for spin j in the descending-m basis."""
-    j = two_j / 2.0
-    d = two_j + 1
-    m = j - np.arange(d)
-    jp = np.zeros((d, d))
-    for i in range(1, d):
-        jp[i - 1, i] = math.sqrt(j * (j + 1) - m[i] * (m[i] + 1.0))
-    jm = jp.T
-    jx = (jp + jm) / 2.0
-    jy = (jp - jm) / 2.0j
-    jz = np.diag(m).astype(complex)
-    return jx, jy, jz
-
-
 def vector_field_symbol(catalog, j):
     """Symbol of the left-invariant field X_j, i.e. dxi(X_j) per class."""
     spec = catalog.spec
@@ -50,8 +35,16 @@ def vector_field_symbol(catalog, j):
     if spec.family == "torus":
         k = np.array(catalog.labels)[:, j - 1]
         return Symbol(catalog, data=1j * k, present=np.ones(len(catalog), dtype=bool))
-    return Symbol(catalog, {r.label: -1j * _angular_momentum(r.dim - 1)[j - 1]
-                            for r in catalog})
+    # -i J_x, -i J_y, -i J_z of spin j in the descending-m basis, packed;
+    # J_+ raises column n to row n + 1 and J_- is its transpose
+    row, col, _ = catalog.entry_index
+    two_j, two_m, two_n = catalog.entry_weights
+    spin, n = two_j / 2.0, two_n / 2.0
+    jp = np.where(col == row + 1, np.sqrt(spin * (spin + 1) - n * (n + 1.0)), 0.0)
+    jm = jp[catalog.transposed]
+    jz = np.where(row == col, two_m / 2.0, 0.0).astype(complex)
+    ang = ((jp + jm) / 2.0, (jp - jm) / 2.0j, jz)[j - 1]
+    return Symbol(catalog, data=-1j * ang, present=np.ones(len(catalog), dtype=bool))
 
 
 def canonical_word(alpha):

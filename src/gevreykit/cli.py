@@ -91,6 +91,10 @@ def _load_config(path):
         raise DataError("config file %s is not valid JSON: %s" % (path, exc))
     if not isinstance(cfg, dict):
         raise DataError("config file %s must hold a JSON object" % path)
+    unknown = sorted(set(cfg) - set(OPTIONS))
+    if unknown:
+        raise ConfigurationError("config file %s has unknown option %s"
+                                 % (path, ", ".join(map(repr, unknown))))
     return cfg
 
 
@@ -115,6 +119,8 @@ def _config_value(name, val):
             if not isinstance(val, list):
                 raise TypeError("a JSON list is expected")
             val = [cast(v) for v in val]
+        elif kw.get("action") == "store_true" and not isinstance(val, bool):
+            raise TypeError("true or false is expected")
         else:
             val = cast(val)
     except (TypeError, ValueError) as exc:

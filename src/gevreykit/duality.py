@@ -109,11 +109,9 @@ def _pairing_terms(seq, coeffs):
     """d_xi Tr(phi_hat(xi) v_xi) and the bracket of every class either holds."""
     _require_same_catalog(seq, coeffs)
     cat = seq.catalog
-    row, col, d = cat.entry_index
-    # Tr(a b) sums a_mn b_nm, and entry (n, m) sits (n - m)(d - 1) after (m, n)
-    transposed = np.arange(cat.offsets[-1]) + (col - row) * (d - 1)
     keep = seq.present | coeffs.present
-    terms = cat.dims * np.add.reduceat(coeffs.data * seq.data[transposed], cat.offsets[:-1])
+    # Tr(a b) sums a_mn b_nm
+    terms = cat.dims * np.add.reduceat(coeffs.data * seq.data[cat.transposed], cat.offsets[:-1])
     return terms[keep], cat.brackets[keep]
 
 

@@ -5,8 +5,10 @@ forward transform computes f_hat(xi) = integral of f(x) xi(x)* dx and the
 inversion formula is f(x) = sum_xi d_xi Tr(xi(x) f_hat(xi)).
 
 Grid transforms exploit the product structure of the Euler grid: the
-alpha and gamma phases are applied once for all classes, the little-d
-contraction once per class.
+alpha and gamma phases are applied once for all classes, and the
+little-d factor is one value per packed entry and beta node, so the
+forward transform is one gather and one weighted sum over beta and the
+inverse is one scatter of every entry in catalog order.
 """
 
 import math
@@ -142,15 +144,20 @@ def _check_band(grid, catalog):
         )
 
 
-def _euler_tables(grid):
-    """two_band = twice the grid's top weight, exp(+i m alpha) and
-    exp(+i n gamma) for 2m, 2n in [-two_band, two_band], and the little-d
-    stack up to 2j = two_band on the grid's betas."""
+def _euler_entries(catalog, grid):
+    """exp(+i m alpha) and exp(+i n gamma) for 2m, 2n in [-two_band,
+    two_band], two_band twice the grid's top weight; the little-d value
+    of every packed entry of the catalog on the grid's betas, shape
+    (n_beta, entries); and each entry's m and n row of those tables."""
     two_band = 2 * grid.band if grid.spec.family == "so3" else grid.band
-    two_m = np.arange(-two_band, two_band + 1)
-    ea = np.exp(0.5j * np.outer(two_m, grid.alpha))
-    eg = np.exp(0.5j * np.outer(two_m, grid.gamma))
-    return two_band, ea, eg, wigner_d_cached(two_band, grid.beta)
+    twice = np.arange(-two_band, two_band + 1)
+    ea = np.exp(0.5j * np.outer(twice, grid.alpha))
+    eg = np.exp(0.5j * np.outer(twice, grid.gamma))
+    dstack = wigner_d_cached(two_band, grid.beta)
+    d = np.concatenate([dstack[t].reshape(len(grid.beta), -1)
+                        for t in (catalog.dims - 1).tolist()], axis=1)
+    _, two_m, two_n = catalog.entry_weights
+    return ea, eg, d, two_band + two_m, two_band + two_n
 
 
 def _torus_index(catalog, grid):
@@ -170,43 +177,31 @@ def forward_transform(grid, samples, catalog):
         spectrum = np.fft.fftn(samples) / samples.size
         return CoefficientField(catalog, data=spectrum[_torus_index(catalog, grid)],
                                 present=np.ones(len(catalog), dtype=bool))
-    out = CoefficientField(catalog)
-    two_band, ea, eg, dstack = _euler_tables(grid)
+    ea, eg, d, mi, ni = _euler_entries(catalog, grid)
     # t1[m, b, g] = mean over alpha of e^{i m alpha} f;  t2 adds the gamma mean
     t1 = np.einsum("ma,abg->mbg", ea, samples) / len(grid.alpha)
     t2 = np.einsum("ng,mbg->mbn", eg, t1) / len(grid.gamma)
-    wb = 0.5 * grid.beta_weights
-    for rep in catalog:
-        two_j = rep.dim - 1
-        sel = two_band + two_j - 2 * np.arange(rep.dim)
-        block = np.einsum(
-            "bmn,mbn->mn", wb[:, None, None] * dstack[two_j], t2[sel][:, :, sel]
-        )
-        # xi(x)* is the conjugate transpose, so entry (m,n) of f_hat pairs
-        # with the conjugate of coefficient (n,m)
-        out[rep.label] = block.T
-    return out
+    coef = np.einsum("be,eb->e", 0.5 * grid.beta_weights[:, None] * d, t2[mi, :, ni])
+    # xi(x)* is the conjugate transpose, so entry (m,n) of f_hat pairs
+    # with the conjugate of coefficient (n,m)
+    return CoefficientField(catalog, data=coef[catalog.transposed],
+                            present=np.ones(len(catalog), dtype=bool))
 
 
 def inverse_on_grid(coeffs, grid):
     """Synthesize the inversion series on every node of the grid."""
-    _check_band(grid, coeffs.catalog)
-    if coeffs.catalog.spec.family == "torus":
+    cat = coeffs.catalog
+    _check_band(grid, cat)
+    if cat.spec.family == "torus":
         spectrum = np.zeros(grid.shape, dtype=complex)
-        spectrum[_torus_index(coeffs.catalog, grid)] = coeffs.data
+        spectrum[_torus_index(cat, grid)] = coeffs.data
         return np.fft.ifftn(spectrum) * spectrum.size
-    two_band, ea, eg, dstack = _euler_tables(grid)
-    nb = len(grid.beta)
-    acc = np.zeros((2 * two_band + 1, nb, 2 * two_band + 1), dtype=complex)
-    for label in coeffs.labels():
-        rep = coeffs.catalog.lookup(label)
-        two_j = rep.dim - 1
-        sel = two_band + two_j - 2 * np.arange(rep.dim)
-        # Tr(xi(x) f_hat) pairs entry (m,n) of xi with entry (n,m) of f_hat
-        contrib = rep.dim * np.einsum(
-            "bmn,nm->mbn", dstack[two_j], coeffs[label]
-        )
-        acc[np.ix_(sel, range(nb), sel)] += contrib
+    ea, eg, d, mi, ni = _euler_entries(cat, grid)
+    acc = np.zeros((len(ea), len(grid.beta), len(eg)), dtype=complex)
+    # Tr(xi(x) f_hat) pairs entry (m,n) of xi with entry (n,m) of f_hat;
+    # classes add in catalog order
+    np.add.at(acc, (mi, slice(None), ni),
+              (cat.entry_index[2] * (d * coeffs.data[cat.transposed])).T)
     return np.einsum("ma,mbn,ng->abg", np.conj(ea), acc, np.conj(eg))
 
 

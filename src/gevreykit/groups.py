@@ -26,6 +26,8 @@ CATALOG_CANDIDATE_BUDGET = 1 << 20
 # Most packed entries (sum of d^2 over the catalog) one coefficient field
 # may hold; catalogs may be larger as long as no field is built on them
 FIELD_ENTRY_BUDGET = 1 << 25
+# Most nodes one quadrature grid may hold
+GRID_SAMPLE_BUDGET = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -109,6 +111,20 @@ class DualCatalog:
         d = np.repeat(self.dims, n)
         local = np.arange(self.offsets[-1]) - np.repeat(self.offsets[:-1], n)
         return local // d, local % d, d
+
+    @cached_property
+    def entry_weights(self):
+        """2j = d - 1, 2m and 2n of every packed entry: rows and columns
+        run by descending weight, m = j - row and n = j - column."""
+        row, col, d = self.entry_index
+        return d - 1, d - 1 - 2 * row, d - 1 - 2 * col
+
+    @cached_property
+    def transposed(self):
+        """Packed position of the transpose of every entry."""
+        row, col, d = self.entry_index
+        # entry (n, m) sits (n - m)(d - 1) after (m, n)
+        return np.arange(self.offsets[-1]) + (col - row) * (d - 1)
 
     @cached_property
     def reps(self):

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import ConfigurationError, DomainError
+from . import groups
+from .errors import DomainError, ResourceError
 
 TWO_PI = 2.0 * math.pi
 
@@ -316,13 +317,18 @@ def build_grid(spec, band):
     """Grid exact for products of two coefficients of band-limited data.
 
     ``band`` is the torus frequency bound |k_i| <= band, twice the top
-    spin for SU(2), or the top spin for SO(3).
+    spin for SU(2), or the top spin for SO(3).  A grid of more than
+    groups.GRID_SAMPLE_BUDGET nodes is refused before it is built.
     """
     band = int(band)
     if band < 0:
         raise DomainError("band must be >= 0")
+    n = 2 * band + 1
+    size = n**spec.torus_dim if spec.family == "torus" else 8 * (band + 1) ** 3
+    if size > groups.GRID_SAMPLE_BUDGET:
+        raise ResourceError("a grid of band %d holds %d nodes, more than the %d allowed"
+                            % (band, size, groups.GRID_SAMPLE_BUDGET))
     if spec.family == "torus":
-        n = 2 * band + 1
         nodes = TWO_PI * np.arange(n) / n
         return GroupGrid(
             spec=spec,
@@ -332,12 +338,7 @@ def build_grid(spec, band):
             beta_weights=np.empty(0),
             gamma=nodes,
         )
-    if spec.family == "su2":
-        gamma_period = 2.0 * TWO_PI
-    elif spec.family == "so3":
-        gamma_period = TWO_PI
-    else:
-        raise ConfigurationError("no grid for family %r" % (spec.family,))
+    gamma_period = 2.0 * TWO_PI if spec.family == "su2" else TWO_PI
     n_alpha = 2 * band + 2
     n_beta = band + 1
     n_gamma = 4 * band + 4
@@ -354,13 +355,9 @@ def build_grid(spec, band):
 
 
 def band_for_catalog(catalog):
-    """Smallest grid band holding every class of the catalog."""
-    spec = catalog.spec
-    if spec.family == "torus":
-        if len(catalog) == 0:
-            return 0
-        return int(max(max(abs(c) for c in r.label) for r in catalog))
-    return int(max(r.label[0] for r in catalog)) if len(catalog) else 0
+    """Smallest grid band holding every class of the catalog: the largest
+    |label entry|, which is |k_i| on the torus and the label otherwise."""
+    return int(np.abs(np.array(catalog.labels)).max(initial=0))
 
 
 def haar_integrate(grid, values):

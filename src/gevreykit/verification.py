@@ -94,25 +94,15 @@ def check_plancherel_inversion(trials=20, seed=100):
 def check_schur_orthogonality(band=12):
     spec = GroupSpec("su2")
     grid = build_grid(spec, band)
-    two_band, ea, eg, dstack = fourier._euler_tables(grid)
-    rows = []
-    dims = []
-    sqw = np.sqrt(grid.weights())
-    for two_j in range(two_band + 1):
-        for i1 in range(two_j + 1):
-            for i2 in range(two_j + 1):
-                m_idx = two_band + two_j - 2 * i1
-                n_idx = two_band + two_j - 2 * i2
-                coef = (
-                    np.conj(ea[m_idx])[:, None, None]
-                    * dstack[two_j][None, :, i1, i2, None]
-                    * np.conj(eg[n_idx])[None, None, :]
-                )
-                rows.append((coef * sqw).ravel())
-                dims.append(two_j + 1)
-    mat = np.array(rows)
+    # every class with 2j <= band, one row per packed entry
+    cat = enumerate_dual(spec, math.sqrt(1.0 + (band / 2.0) * (band / 2.0 + 1.0)))
+    ea, eg, d, mi, ni = fourier._euler_entries(cat, grid)
+    mat = (np.conj(ea[mi])[:, :, None, None] * d.T[:, None, :, None]
+           * np.conj(eg[ni])[:, None, None, :])
+    mat *= np.sqrt(grid.weights())
+    mat = mat.reshape(len(mi), -1)
     gram = mat @ mat.conj().T
-    target = np.diag(1.0 / np.array(dims, dtype=float))
+    target = np.diag(1.0 / cat.entry_index[2])
     resid = float(np.abs(gram - target).max())
     return (
         resid < 1e-11,

@@ -373,3 +373,40 @@ def test_config_values_take_the_declared_types(capsys, tmp_path):
     assert code == 0
     assert out == run_cli(capsys, ["probe", "--lemma", "series", "--group", "su2",
                                    "--cutoff", "10", "--t", "1.5", "--t", "2"])[1]
+
+
+def test_config_keys_must_be_options(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"group": "so3", "cutoff": 3, "sed": 5}))
+    code, out, err = run_cli(capsys, ["catalog", "--config", str(cfg)])
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error") and "'sed'" in err
+    # an option of another subcommand is still accepted
+    cfg.write_text(json.dumps({"group": "so3", "cutoff": 3, "trials": 4, "quick": True}))
+    assert run_cli(capsys, ["catalog", "--config", str(cfg)])[:2] == run_cli(
+        capsys, ["catalog", "--group", "so3", "--cutoff", "3"])[:2]
+
+
+def test_switch_config_values_must_be_booleans(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    field = tmp_path / "field.jsonl"
+    field.write_text('{"label": [0], "matrix": [[[1.0, 0.0]]]}\n')
+    argv = ["transform", "--group", "so3", "--cutoff", "1", "-i", str(field), "--config", str(cfg)]
+    for bad in ("no", 0, 1, [True]):
+        cfg.write_text(json.dumps({"inverse": bad}))
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, ""), bad
+        assert err.startswith("usage error") and "--inverse" in err
+    cfg.write_text(json.dumps({"inverse": True}))
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0 and out == run_cli(capsys, argv[:-2] + ["--inverse"])[1]
+    cfg.write_text(json.dumps({"quick": "yes"}))
+    code, out, err = run_cli(capsys, ["verify", "--config", str(cfg)])
+    assert (code, out) == (2, "") and "--quick" in err
+
+
+def test_grid_budget_exits_4(capsys):
+    code, out, err = run_cli(capsys, ["transform", "--group", "so3", "--cutoff", "3",
+                                      "--band", "100000", "--inverse", "-i", "-"])
+    assert (code, out) == (4, "")
+    assert err.startswith("resource error") and "Traceback" not in err

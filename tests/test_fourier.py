@@ -177,3 +177,28 @@ def test_block_shape_checked():
     f = CoefficientField(cat)
     with pytest.raises(ContractViolation):
         f[(2,)] = np.zeros((2, 2))
+
+
+@pytest.mark.parametrize("spec,cutoff,band,absent", [
+    (GroupSpec("su2"), 3.0, 7, (1, 3)),
+    (GroupSpec("so3"), 4.0, 5, (0, 2)),
+])
+def test_grid_transforms_match_the_rep_matrix_series(spec, cutoff, band, absent):
+    rng = np.random.default_rng(12)
+    cat = enumerate_dual(spec, cutoff)
+    assert band > band_for_catalog(cat)
+    coeffs = _random_field(cat, rng)
+    for i in absent:
+        coeffs.present[i] = False
+        coeffs.data[cat.offsets[i] : cat.offsets[i + 1]] = 0.0
+    grid = build_grid(spec, band)
+    samples = inverse_on_grid(coeffs, grid)
+    nodes = [(0, 0, 0), (1, 2, 3), (len(grid.alpha) - 1, len(grid.beta) - 1, len(grid.gamma) - 1)]
+    points = [(grid.alpha[a], grid.beta[b], grid.gamma[g]) for a, b, g in nodes]
+    ref = inverse_transform(coeffs, points)
+    got = np.array([samples[node] for node in nodes])
+    assert np.abs(got - ref).max() < 1e-12
+    back = forward_transform(grid, samples, cat)
+    assert np.abs(back.data - coeffs.data).max() < 1e-12
+    for i in absent:
+        assert np.abs(back[cat.labels[i]]).max() < 1e-12

@@ -150,3 +150,15 @@ def test_series_probe_refuses_non_finite_exponent():
     for t in (math.nan, math.inf, -math.inf):
         with pytest.raises(DomainError):
             series_convergence_probe(cat, t)
+
+
+@pytest.mark.parametrize("spec,cutoff", [
+    (GroupSpec("torus", 2), 3.0), (GroupSpec("su2"), 5.0), (GroupSpec("so3"), 5.0)])
+def test_transposed_is_the_blockwise_transpose(spec, cutoff):
+    cat = enumerate_dual(spec, cutoff)
+    t = cat.transposed
+    assert np.array_equal(t[t], np.arange(cat.offsets[-1]))
+    positions = np.arange(cat.offsets[-1])
+    for i, d in enumerate(cat.dims.tolist()):
+        block = positions[cat.offsets[i] : cat.offsets[i + 1]].reshape(d, d)
+        assert np.array_equal(t[block], block.T)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from gevreykit.calculus import _angular_momentum
+from gevreykit.calculus import vector_field_symbol
+from gevreykit import groups
+from gevreykit.errors import ResourceError
 from gevreykit.groups import GroupSpec, enumerate_dual
 from gevreykit.quadrature import (
     build_grid,
@@ -21,6 +23,28 @@ from gevreykit.quadrature import (
     tree_sum,
     wigner_d_matrix,
 )
+
+
+def _angular_momentum(two_j):
+    """J_x, J_y, J_z for spin j in the descending-m basis, entry by entry."""
+    j = two_j / 2.0
+    d = two_j + 1
+    m = j - np.arange(d)
+    jp = np.zeros((d, d))
+    for i in range(1, d):
+        jp[i - 1, i] = math.sqrt(j * (j + 1) - m[i] * (m[i] + 1.0))
+    jm = jp.T
+    return (jp + jm) / 2.0, (jp - jm) / 2.0j, np.diag(m).astype(complex)
+
+
+def test_vector_field_symbol_is_minus_i_angular_momentum():
+    for fam in ("su2", "so3"):
+        cat = enumerate_dual(GroupSpec(fam), 9.0)
+        for j in (1, 2, 3):
+            sym = vector_field_symbol(cat, j)
+            for rep in cat:
+                oracle = -1j * _angular_momentum(rep.dim - 1)[j - 1]
+                assert np.array_equal(sym[rep.label], oracle)
 
 
 def test_tree_sum_matches_fsum():
@@ -149,3 +173,16 @@ def test_dstack_cache_evicts_oldest_within_byte_budget(monkeypatch):
     big = quadrature.wigner_d_cached(6, betas[0])
     assert 6 in big
     assert [key[1] for key in quadrature._DSTACK_CACHE] == kept
+
+
+def test_grid_sample_budget_refuses_before_building(monkeypatch):
+    for spec, band, size in ((GroupSpec("torus", 2), 3, 49), (GroupSpec("su2"), 4, 1000),
+                             (GroupSpec("so3"), 2, 216)):
+        monkeypatch.setattr(groups, "GRID_SAMPLE_BUDGET", size)
+        assert build_grid(spec, band).size == size
+        monkeypatch.setattr(groups, "GRID_SAMPLE_BUDGET", size - 1)
+        with pytest.raises(ResourceError, match="%d nodes" % size):
+            build_grid(spec, band)
+    monkeypatch.undo()
+    with pytest.raises(ResourceError):
+        build_grid(GroupSpec("so3"), 100000)
