@@ -87,7 +87,7 @@ def _load_config(path):
         return {}
     try:
         cfg = json.loads(_read_text(path))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise DataError("config file %s is not valid JSON: %s" % (path, exc))
     if not isinstance(cfg, dict):
         raise DataError("config file %s must hold a JSON object" % path)

@@ -50,8 +50,7 @@ class CoefficientField:
     def identity(cls, catalog):
         """The identity matrix on every class."""
         out = cls(catalog, present=np.ones(len(catalog), dtype=bool))
-        row, col, _ = catalog.entry_index
-        out.data[row == col] = 1.0
+        out.data[diagonal_at(catalog, np.arange(len(catalog)))] = 1.0
         return out
 
     def __setitem__(self, label, mat):
@@ -124,6 +123,12 @@ def ranges(starts, sizes):
     """np.concatenate([np.arange(a, a + n) for a, n in zip(starts, sizes)])."""
     sizes = np.asarray(sizes)
     return np.arange(sizes.sum()) + np.repeat(np.asarray(starts) - np.cumsum(sizes) + sizes, sizes)
+
+
+def diagonal_at(catalog, idx):
+    """Packed positions offsets[i] + k (d + 1), k < d, of the diagonals of classes idx."""
+    d = catalog.dims[idx]
+    return ranges(catalog.offsets[idx], d) + ranges(0 * d, d) * np.repeat(d, d)
 
 
 def _require_same_catalog(a, b):

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from .errors import DomainError, InsufficientDataError, ResourceError
-from .fourier import CoefficientField, ranges
+from .fourier import CoefficientField, diagonal_at, ranges
 
 HS_FLOOR = 1e-290
 S_GRID = np.round(np.arange(0.2, 5.0 + 1e-9, 0.01), 10)
@@ -82,13 +82,12 @@ def profile_field(catalog, log_hs, profile="diagonal", seed=0):
     hs = np.array([math.exp(log_hs[i]) for i in idx.tolist()])
     d = catalog.dims[idx]
     n = d * d
-    at = ranges(catalog.offsets[idx], n)
     if profile == "diagonal":
-        row, col, _ = catalog.entry_index
-        values = np.where(row[at] == col[at], np.repeat(hs / np.sqrt(d), n), 0.0)
+        at, values = diagonal_at(catalog, idx), np.repeat(hs / np.sqrt(d), d)
     elif profile == "dense":
-        values = np.repeat(hs / d, n)
+        at, values = ranges(catalog.offsets[idx], n), np.repeat(hs / d, n)
     else:
+        at = ranges(catalog.offsets[idx], n)
         start = np.cumsum(n) - n
         draws = np.random.default_rng(seed).standard_normal(2 * n.sum())
         real_at = ranges(2 * start, n)

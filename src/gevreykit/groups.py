@@ -24,7 +24,8 @@ FAMILIES = ("torus", "su2", "so3")
 # Most candidate labels enumerate_dual may examine for one catalog
 CATALOG_CANDIDATE_BUDGET = 1 << 20
 # Most packed entries (sum of d^2 over the catalog) one coefficient field
-# may hold; catalogs may be larger as long as no field is built on them
+# may hold; catalogs may be larger as long as no field is built on them.
+# Also the most entries of one little-d stack, over all its betas
 FIELD_ENTRY_BUDGET = 1 << 25
 # Most nodes one quadrature grid may hold
 GRID_SAMPLE_BUDGET = 1 << 24

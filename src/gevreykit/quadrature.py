@@ -85,9 +85,15 @@ def wigner_d_all(two_jmax, beta):
     Returns
     -------
     dict mapping two_j to an array of shape beta.shape + (d, d) with
-    d = two_j + 1, rows ordered by descending m.
+    d = two_j + 1, rows ordered by descending m.  A stack of more than
+    groups.FIELD_ENTRY_BUDGET entries is refused before it is allocated.
     """
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
+    # sum of d^2 for 2j <= two_jmax, on every beta
+    entries = beta.size * (two_jmax + 1) * (two_jmax + 2) * (2 * two_jmax + 3) // 6
+    if entries > groups.FIELD_ENTRY_BUDGET:
+        raise ResourceError("a little-d stack up to 2j = %d holds %d entries, more than the %d "
+                            "allowed" % (two_jmax, entries, groups.FIELD_ENTRY_BUDGET))
     cosb = np.cos(beta)
     cb = np.cos(beta / 2.0)
     sb = np.sin(beta / 2.0)

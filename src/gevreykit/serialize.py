@@ -63,65 +63,66 @@ def field_to_jsonl(coeffs):
     return "".join(parts) if len(idx) else ""
 
 
-def _parse_run(out, lines):
-    """Parse record lines into ``out`` with one json.loads; raises
-    ValueError, KeyError, TypeError or DomainError where a line needs a
-    closer look."""
-    body = ",".join(lines)
-    # one "{" opening and one "}" closing each line: no record spans lines
-    flat = body.count("{") == body.count("}") == len(lines)
-    if not flat or not all(t[0] == "{" and t[-1] == "}" for t in lines):
-        raise ValueError("not one flat record per line")
-    # outside strings these only spell booleans, which numpy reads as 1 and 0
-    if "true" in body or "false" in body:
-        raise ValueError("boolean in a record")
-    recs = json.loads("[%s]" % body)
-    if not all(type(c) is int for r in recs for c in r["label"]):
-        raise ValueError("non-integer label entry")
-    cat = out.catalog
-    pos = np.array([cat.position(r["label"]) for r in recs], dtype=int)
-    d = cat.dims[pos]
-    rows = [row for r in recs for row in r["matrix"]]
-    cells = np.array([c for row in rows for c in row])
-    if (len(set(pos.tolist())) < len(recs) or out.present[pos].any()
-            or [len(r["matrix"]) for r in recs] != d.tolist()
-            or [len(row) for row in rows] != np.repeat(d, d).tolist()
-            or cells.shape != (len(cells), 2) or cells.dtype.kind not in "biuf"
-            or not np.isfinite(cells).all()):
-        raise ValueError("records need a closer look")
-    out.data[ranges(cat.offsets[pos], d * d)] = np.ascontiguousarray(cells, float).view(complex)[:, 0]
-    out.present[pos] = True
+def _parse_run(catalog, lines):
+    """Catalog positions and packed values of the records on ``lines``,
+    read with one json.loads; a repeated label keeps its last record.
+    Raises DataError with the reason for refusing the run."""
+    try:
+        body = ",".join(lines)
+        # one "{" opening and one "}" closing each line: no record spans
+        # lines and no string holds a brace
+        if not (body.count("{") == body.count("}") == len(lines)
+                and all(t[0] == "{" and t[-1] == "}" for t in lines)):
+            raise ValueError("not one flat JSON object per line")
+        # outside strings these only spell booleans, which numpy reads as 1 and 0
+        if "true" in body or "false" in body:
+            raise ValueError("true or false in a record")
+        recs = json.loads("[%s]" % body)
+        if not all(type(c) is int for r in recs for c in r["label"]):
+            raise ValueError("label entries must be integers")
+        pos = np.array([catalog.position(r["label"]) for r in recs], dtype=int)
+        d = catalog.dims[pos]
+        rows = [row for r in recs for row in r["matrix"]]
+        if ([len(r["matrix"]) for r in recs] != d.tolist()
+                or [len(row) for row in rows] != np.repeat(d, d).tolist()):
+            raise ValueError("matrix is not d x d for its label")
+        cells = np.array([c for row in rows for c in row])
+        if cells.dtype == object and all(type(x) in (int, float) for x in cells.flat):
+            cells = cells.astype(float)  # JSON integers past 64 bits
+        if (cells.shape != (len(cells), 2) or cells.dtype.kind not in "biuf"
+                or not np.isfinite(cells).all()):
+            raise ValueError("matrix entries must be pairs [re, im] of finite numbers")
+    except (KeyError, ValueError, TypeError, OverflowError, RecursionError, DomainError) as exc:
+        raise DataError(exc)
+    values = np.ascontiguousarray(cells, float).view(complex)[:, 0]
+    if len(set(pos.tolist())) < len(pos):
+        keep = np.isin(np.arange(len(pos)), len(pos) - 1 - np.unique(pos[::-1], return_index=True)[1])
+        pos, values = pos[keep], values[np.repeat(keep, d * d)]
+    return pos, values
 
 
 def field_from_jsonl(text, catalog):
-    """Inverse of field_to_jsonl.  Non-finite entries are refused."""
+    """Inverse of field_to_jsonl.  Blank lines are skipped and a repeated
+    label keeps its last record.  A run of lines that _parse_run refuses
+    is read again one line at a time, so the DataError names the first
+    bad line and gives its reason."""
     lines = [t for t in (t.strip() for t in text.splitlines()) if t]
     out = CoefficientField(catalog)
-    try:
-        for a, b in _runs([len(t) for t in lines], 1 << 15):
-            _parse_run(out, lines[a:b])
-        return out
-    except (KeyError, ValueError, TypeError, DomainError):
-        pass
-    # line by line, to report the first bad record or keep a repeated
-    # label's last block
-    out = CoefficientField(catalog)
-    for ln, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
+    for a, b in _runs([len(t) for t in lines], 1 << 15):
         try:
-            rec = json.loads(line)
-            label = tuple(rec["label"])
-            if not all(type(c) is int for c in label):
-                raise ValueError("label entries must be integers, got %r" % (label,))
-            if not all(type(x) in (int, float) for row in rec["matrix"] for c in row for x in c):
-                raise ValueError("matrix entries must be numbers")
-            mat = np.array([[complex(re, im) for re, im in row] for row in rec["matrix"]])
-            if not np.isfinite(mat).all():
-                raise ValueError("non-finite entry")
-        except (KeyError, ValueError, TypeError, OverflowError) as exc:
-            raise DataError("bad coefficient record on line %d: %s" % (ln, exc))
-        out[label] = mat
+            parts = [_parse_run(catalog, lines[a:b])]
+        except DataError:
+            numbers = [n for n, t in enumerate(text.splitlines(), start=1) if t.strip()]
+            parts = []
+            for k in range(a, b):
+                try:
+                    parts.append(_parse_run(catalog, lines[k : k + 1]))
+                except DataError as exc:
+                    raise DataError("bad coefficient record on line %d: %s" % (numbers[k], exc))
+        for pos, values in parts:
+            d = catalog.dims[pos]
+            out.data[ranges(catalog.offsets[pos], d * d)] = values
+            out.present[pos] = True
     return out
 
 

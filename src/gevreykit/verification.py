@@ -32,9 +32,9 @@ class CheckResult:
 
 
 def _timed(fn):
-    def wrapper(*args, **kwargs):
+    def wrapper():
         t0 = time.perf_counter()
-        passed, detail = fn(*args, **kwargs)
+        passed, detail = fn()
         return CheckResult(fn.__name__.removeprefix("check_"), passed, detail,
                            time.perf_counter() - t0)
 
@@ -42,16 +42,13 @@ def _timed(fn):
 
 
 def _families():
-    out = []
-    t1 = GroupSpec("torus", 1)
-    out.append(("T1", t1, enumerate_dual(t1, math.sqrt(1 + 12**2))))
-    t2 = GroupSpec("torus", 2)
-    out.append(("T2", t2, enumerate_dual(t2, math.sqrt(1 + 8**2))))
-    su2 = GroupSpec("su2")
-    out.append(("SU2", su2, enumerate_dual(su2, math.sqrt(1 + 6.0 * 7.0))))
-    so3 = GroupSpec("so3")
-    out.append(("SO3", so3, enumerate_dual(so3, math.sqrt(1 + 12.0 * 13.0))))
-    return out
+    """(name, spec, catalog) of T1 to |k| <= 12, T2 to |k| <= 8, SU(2) to
+    j = 6 and SO(3) to l = 12."""
+    return [(name, spec, enumerate_dual(spec, math.sqrt(1 + lambda_sq)))
+            for name, spec, lambda_sq in (("T1", GroupSpec("torus", 1), 12**2),
+                                          ("T2", GroupSpec("torus", 2), 8**2),
+                                          ("SU2", GroupSpec("su2"), 6.0 * 7.0),
+                                          ("SO3", GroupSpec("so3"), 12.0 * 13.0))]
 
 
 def _random_field(catalog, rng, reps=None):
@@ -65,13 +62,13 @@ def _random_field(catalog, rng, reps=None):
 
 
 @_timed
-def check_plancherel_inversion(trials=20, seed=100):
-    rng = np.random.default_rng(seed)
+def check_plancherel_inversion():
+    rng = np.random.default_rng(100)
     worst_rt = 0.0
     worst_pg = 0.0
     for name, spec, cat in _families():
         grid = build_grid(spec, band_for_catalog(cat))
-        for _ in range(trials):
+        for _ in range(20):
             f = _random_field(cat, rng)
             g = _random_field(cat, rng)
             sf = fourier.inverse_on_grid(f, grid)
@@ -91,33 +88,32 @@ def check_plancherel_inversion(trials=20, seed=100):
 
 
 @_timed
-def check_schur_orthogonality(band=12):
+def check_schur_orthogonality():
     spec = GroupSpec("su2")
-    grid = build_grid(spec, band)
-    # every class with 2j <= band, one row per packed entry
-    cat = enumerate_dual(spec, math.sqrt(1.0 + (band / 2.0) * (band / 2.0 + 1.0)))
+    grid = build_grid(spec, 12)
+    # every class with 2j <= 12
+    cat = enumerate_dual(spec, math.sqrt(1.0 + 6.0 * 7.0))
     ea, eg, d, mi, ni = fourier._euler_entries(cat, grid)
-    mat = (np.conj(ea[mi])[:, :, None, None] * d.T[:, None, :, None]
-           * np.conj(eg[ni])[:, None, None, :])
-    mat *= np.sqrt(grid.weights())
-    mat = mat.reshape(len(mi), -1)
-    gram = mat @ mat.conj().T
-    target = np.diag(1.0 / cat.entry_index[2])
-    resid = float(np.abs(gram - target).max())
+    # the Haar weights are a product, so the Gram of the entries' samples
+    # is the product of an alpha, a beta and a gamma Gram
+    ga = np.conj(ea) @ ea.T / len(grid.alpha)
+    gb = (0.5 * grid.beta_weights * d.T) @ d
+    gg = np.conj(eg) @ eg.T / len(grid.gamma)
+    gram = ga[np.ix_(mi, mi)] * gb * gg[np.ix_(ni, ni)]
+    resid = float(np.abs(gram - np.diag(1.0 / cat.entry_index[2])).max())
     return (
         resid < 1e-11,
-        "max residual %.2e over %d coefficient pairs (tol 1e-11)"
-        % (resid, mat.shape[0] ** 2),
+        "max residual %.2e over %d coefficient pairs (tol 1e-11)" % (resid, len(mi) ** 2),
     )
 
 
 @_timed
-def check_hausdorff_young(trials=50, seed=200):
-    rng = np.random.default_rng(seed)
+def check_hausdorff_young():
+    rng = np.random.default_rng(200)
     worst = math.inf
     for name, spec, cat in _families():
         grid = build_grid(spec, band_for_catalog(cat))
-        for _ in range(trials):
+        for _ in range(50):
             f = _random_field(cat, rng)
             samples = fourier.inverse_on_grid(f, grid)
             (linf_dual, l1_f), (sup_f, l1_dual) = fourier.hausdorff_young_gap(
@@ -144,8 +140,8 @@ def matrix_norm_probe(rng, trials):
 
 
 @_timed
-def check_matrix_norm_lemma(trials=100, seed=300):
-    worst = matrix_norm_probe(np.random.default_rng(seed), trials)
+def check_matrix_norm_lemma():
+    worst = matrix_norm_probe(np.random.default_rng(300), 100)
     return (
         worst >= -1e-12,
         "smallest slack %.2e (allowed >= -1e-12)" % worst,
@@ -174,9 +170,9 @@ def check_series_convergence():
 
 
 @_timed
-def check_casimir_factorization(cutoff=20.0):
+def check_casimir_factorization():
     spec = GroupSpec("su2")
-    cat = enumerate_dual(spec, cutoff)
+    cat = enumerate_dual(spec, 20.0)
     worst_cas = 0.0
     syms = [calculus.vector_field_symbol(cat, j) for j in (1, 2, 3)]
     for rep in cat:
@@ -206,28 +202,19 @@ def check_casimir_factorization(cutoff=20.0):
     )
 
 
-def battery_fields(cutoff=6000.0, seed=42):
-    spec = GroupSpec("torus", 1)
-    cat = enumerate_dual(spec, cutoff)
-    return {
-        s0: gevrey.synthesize_gevrey(cat, s0, 1.0, "random_phase", seed=seed)
-        for s0 in (0.5, 1.0, 2.0)
-    }
-
-
 @_timed
 def check_gevrey_equivalence():
-    fields = battery_fields()
+    cat = enumerate_dual(GroupSpec("torus", 1), 6000.0)
     fit_ok = True
     details = []
-    for s0, f in fields.items():
+    disagreements = 0
+    combos = 0
+    for s0 in (0.5, 1.0, 2.0):
+        f = gevrey.synthesize_gevrey(cat, s0, 1.0, "random_phase", seed=42)
         model = gevrey.fit_decay(f)
         good = abs(model.s - s0) / s0 <= 0.05 and abs(model.B - 1.0) <= 0.10
         fit_ok = fit_ok and good
         details.append("s0=%g->s=%.2f,B=%.3f" % (s0, model.s, model.B))
-    disagreements = 0
-    combos = 0
-    for s0, f in fields.items():
         for s_test in (0.5, 1.0, 2.0, 3.0):
             for mode in ("roumieu", "beurling"):
                 combos += 1
@@ -242,8 +229,8 @@ def check_gevrey_equivalence():
 
 
 @_timed
-def check_duality(seed=400):
-    rng = np.random.default_rng(seed)
+def check_duality():
+    rng = np.random.default_rng(400)
     su2 = GroupSpec("su2")
     cat = enumerate_dual(su2, 70.0)
     delta = duality.delta_sequence(cat)
@@ -270,8 +257,8 @@ def check_duality(seed=400):
 
 
 @_timed
-def check_perfectness(seed=500):
-    rng = np.random.default_rng(seed)
+def check_perfectness():
+    rng = np.random.default_rng(500)
     spec = GroupSpec("torus", 1)
     cat = enumerate_dual(spec, 14000.0)
     f = gevrey.synthesize_gevrey(cat, 2.0, 1.0, "diagonal", seed=0)
@@ -285,8 +272,8 @@ def check_perfectness(seed=500):
 
 
 @_timed
-def check_sphere(seed=600):
-    rng = np.random.default_rng(seed)
+def check_sphere():
+    rng = np.random.default_rng(600)
     spec = GroupSpec("so3")
     lmax = 10
     cat = enumerate_dual(spec, math.sqrt(1 + lmax * (lmax + 1.0)))
@@ -342,9 +329,9 @@ QUICK_CHECKS = [
 
 
 @_timed
-def check_extended_probes(seed=700):
+def check_extended_probes():
     """Extra invariants outside the acceptance gate (full verify only)."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(700)
     ok = True
     notes = []
     for name, spec, cat in _families():

@@ -410,3 +410,27 @@ def test_grid_budget_exits_4(capsys):
                                       "--band", "100000", "--inverse", "-i", "-"])
     assert (code, out) == (4, "")
     assert err.startswith("resource error") and "Traceback" not in err
+
+
+def test_deep_json_exits_3(capsys, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200000 + "\n")
+    field = tmp_path / "field.jsonl"
+    field.write_text('{"label": [0], "matrix": [[[1.0, 0.0]]]}\n')
+    cat = ["--group", "t1", "--cutoff", "3"]
+    for argv, where in ((["classify", "--s", "1", "-i", str(deep)] + cat, "line 1"),
+                        (["pair", "--sequence", str(deep), "-i", str(field)] + cat, "line 1"),
+                        (["catalog", "--config", str(deep)], "config file")):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (3, ""), argv
+        assert err.startswith("data error") and where in err
+
+
+def test_dstack_budget_exits_4(capsys, monkeypatch):
+    # the grid passes its budget; its d stack up to 2j = 254 on 128 betas does not
+    code, out, err = run_cli(capsys, ["transform", "--group", "so3", "--cutoff", "3",
+                                      "--band", "127", "--inverse", "-i", "-"],
+                             stdin_text='{"label": [0], "matrix": [[[1.0, 0.0]]]}\n',
+                             monkeypatch=monkeypatch)
+    assert (code, out) == (4, "")
+    assert err.startswith("resource error") and "little-d stack" in err

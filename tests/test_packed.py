@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from gevreykit import groups
 from gevreykit.duality import growth_sequence
 from gevreykit.errors import ResourceError
-from gevreykit.fourier import CoefficientField, hs_norm
+from gevreykit.fourier import CoefficientField, diagonal_at, hs_norm
 from gevreykit.gevrey import synthesize_gevrey
 from gevreykit.groups import GroupSpec, enumerate_dual
 from gevreykit.serialize import field_from_jsonl, field_to_jsonl
@@ -152,3 +152,12 @@ def test_field_entry_budget_refuses_before_allocating(monkeypatch):
                 build(cat)
         # catalogs themselves stay admitted
         assert len(enumerate_dual(cat.spec, cat.cutoff)) == len(cat)
+
+
+def test_diagonal_positions_are_the_block_diagonals():
+    for cat in CATALOGS.values():
+        row, col, _ = cat.entry_index
+        keep = np.arange(len(cat)) % 3 != 1
+        want = np.flatnonzero((row == col) & np.repeat(keep, np.diff(cat.offsets)))
+        assert np.array_equal(diagonal_at(cat, np.flatnonzero(keep)), want)
+        assert np.array_equal(np.flatnonzero(CoefficientField.identity(cat).data), np.flatnonzero(row == col))

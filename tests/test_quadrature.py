@@ -21,6 +21,7 @@ from gevreykit.quadrature import (
     so3_to_euler,
     su2_to_euler,
     tree_sum,
+    wigner_d_all,
     wigner_d_matrix,
 )
 
@@ -186,3 +187,18 @@ def test_grid_sample_budget_refuses_before_building(monkeypatch):
     monkeypatch.undo()
     with pytest.raises(ResourceError):
         build_grid(GroupSpec("so3"), 100000)
+
+
+def test_dstack_budget_refuses_before_allocating(monkeypatch):
+    betas = np.array([0.3, 1.1, 2.9])
+    for two_jmax in (0, 3, 8):
+        entries = 3 * sum((t + 1) ** 2 for t in range(two_jmax + 1))
+        monkeypatch.setattr(groups, "FIELD_ENTRY_BUDGET", entries)
+        assert sum(a.size for a in wigner_d_all(two_jmax, betas).values()) == entries
+        monkeypatch.setattr(groups, "FIELD_ENTRY_BUDGET", entries - 1)
+        with pytest.raises(ResourceError, match="%d entries" % entries):
+            wigner_d_all(two_jmax, betas)
+    monkeypatch.undo()
+    # SO(3) at band 127: 5,559,680 entries on each of 128 betas
+    with pytest.raises(ResourceError, match="711639040 entries"):
+        wigner_d_all(254, np.zeros(128))

@@ -196,3 +196,40 @@ def test_verdict_json_is_the_record():
     cat = enumerate_dual(GroupSpec("torus", 1), 200.0)
     v = fourier_side_test(synthesize_gevrey(cat, 1.0, 1.0), 2.0, "R")
     assert json.loads(verdict_to_json(v)) == verdict_record(v)
+
+
+def test_field_jsonl_refusals_name_their_line():
+    cat = enumerate_dual(GroupSpec("su2"), 5.0)
+    good = '{"label": [0], "matrix": [[[1.0, 0.0]]]}\n'
+    one = "[[[1.0, 0.0]]]"
+    deep = "[" * 200000 + "0" + "]" * 200000
+    for bad, reason in (
+            ('{"label": [99], "matrix": %s}' % one, "not in catalog"),
+            ('{"label": [1], "matrix": %s}' % one, "not d x d"),
+            ("[" * 200000, "not one flat JSON object"),
+            ('{"label": %s, "matrix": %s}' % (deep, one), "recursion"),
+            ('{"label": [0], "matrix": %s, "note": "}{"}' % one, "not one flat JSON object"),
+            ('{"label": [0], "matrix": %s, "seen": true}' % one, "true or false")):
+        with pytest.raises(DataError, match="line 3: .*%s" % reason):
+            field_from_jsonl(good + "\n" + bad + "\n" + good, cat)
+
+
+def test_field_jsonl_names_a_bad_line_past_the_first_run():
+    cat = enumerate_dual(GroupSpec("torus", 1), 3000.0)
+    rec = '{"label": [%d], "matrix": [[[%d.0, 0.5]]]}'
+    lines = [rec % (k, k) for k in range(-1500, 1500)]
+    lines[2500] = rec % (5000, 1)
+    with pytest.raises(DataError, match="line 2503: label \\(5000,\\) not in catalog"):
+        field_from_jsonl("\n\n" + "\n".join(lines), cat)
+
+
+def test_field_jsonl_repeated_labels_keep_their_last_record():
+    # about 120 KB of records: repeats fall both within and across runs
+    cat = enumerate_dual(GroupSpec("torus", 1), 3000.0)
+    rec = '{"label": [%d], "matrix": [[[%d.0, 0.5]]]}'
+    labels = np.random.default_rng(9).integers(-60, 61, 3000).tolist()
+    f = field_from_jsonl("\n".join(rec % (l, k) for k, l in enumerate(labels)), cat)
+    last = {l: k for k, l in enumerate(labels)}
+    assert f.labels() == [c for c in cat.labels if c[0] in last]
+    for l, k in last.items():
+        assert f[(l,)][0, 0] == k + 0.5j
