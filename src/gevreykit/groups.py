@@ -149,6 +149,13 @@ class DualCatalog:
             raise DomainError("label %r not in catalog" % (label,))
         return self._index[label]
 
+    def positions(self, labels):
+        """Catalog positions of a list of labels, as an int array."""
+        try:
+            return np.fromiter(map(self._index.__getitem__, map(tuple, labels)), int, len(labels))
+        except KeyError as exc:
+            raise DomainError("label %r not in catalog" % (exc.args[0],)) from None
+
     def contains(self, label):
         return tuple(label) in self._index
 

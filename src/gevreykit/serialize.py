@@ -1,14 +1,17 @@
 """Persisted formats: catalog JSON, coefficient JSON-lines, sample CSV,
 decay CSV, sphere CSV, partial-sum CSV, and verdict JSON.
 
-Float fields are written with 17 significant digits so a load/save
-round-trip is bit-exact.
+JSON-lines floats are written by their shortest round-trip repr, as
+json.dumps writes them, CSV floats with 17 significant digits: bit-exact.
 """
 
 import csv
 import io
 import json
 import math
+from array import array
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -30,37 +33,41 @@ def catalog_to_json(catalog):
     )
 
 
-def _split(items, sizes):
-    """Consecutive slices of the list ``items`` with the given lengths."""
-    ends = np.cumsum(sizes).tolist()
-    return [items[a:b] for a, b in zip([0] + ends[:-1], ends)]
-
-
 def _runs(sizes, budget):
     """(start, stop) pairs cutting items of the given sizes into runs of
     about ``budget``; bounds the Python objects alive at once."""
     group = (np.cumsum(sizes) - sizes) // budget
     cut = (np.flatnonzero(np.diff(group)) + 1).tolist()
-    return zip([0] + cut, cut + [len(sizes)])
+    return zip([0] + cut, cut + [len(sizes)]) if len(sizes) else ()
 
 
 def field_to_jsonl(coeffs):
     """One line per stored class: {"label": [...], "matrix": [[[re, im], ...]]}.
 
-    Runs of records go through one json.dumps each; every line reads
-    byte for byte as json.dumps of its own record would.
+    Each stretch of records with one block size is one %-format of a
+    template; floats go through the repr json.dumps uses, so every line
+    reads byte for byte as json.dumps of its own record.  A non-finite
+    value is refused before any text is built.
     """
     cat = coeffs.catalog
     idx = np.flatnonzero(coeffs.present)
     parts = []
     for a, b in _runs(cat.dims[idx] ** 2 + 8, 2048):
-        run, d = idx[a:b].tolist(), cat.dims[idx[a:b]]
-        cells = coeffs.data[ranges(cat.offsets[run], d * d)].view(float).reshape(-1, 2).tolist()
-        mats = _split(_split(cells, np.repeat(d, d)), d)
-        text = json.dumps([{"label": list(cat.labels[i]), "matrix": m} for i, m in zip(run, mats)])
-        # "{" and "}" only open and close records
-        parts.append(text[1:-1].replace("}, {", "}\n{") + "\n")
-    return "".join(parts) if len(idx) else ""
+        run, d = idx[a:b], cat.dims[idx[a:b]]
+        cells = coeffs.data[ranges(cat.offsets[run], d * d)].view(float)
+        if not np.isfinite(cells).all():
+            bad = np.searchsorted(np.cumsum(2 * d * d), np.argmin(np.isfinite(cells)), "right")
+            raise DataError("a coefficient of label %r is not finite" % (cat.labels[run[bad]],))
+        labels, nums = list(map(cat.labels.__getitem__, run.tolist())), iter(cells.tolist())
+        cut = (np.flatnonzero(np.diff(d)) + 1).tolist()
+        for s, e in zip([0] + cut, cut + [len(run)]):
+            k, r = int(d[s]), len(labels[s])
+            row = "[" + ", ".join(["[%r, %r]"] * k) + "]"
+            line = '{"label": [%s], "matrix": [%s]}\n' % (", ".join(["%d"] * r), ", ".join([row] * k))
+            # zip deals each record its r label integers, then its 2 k^2 floats
+            args = zip(*[chain.from_iterable(labels[s:e])] * r, *[nums] * (2 * k * k))
+            parts.append(line * (e - s) % tuple(chain.from_iterable(args)))
+    return "".join(parts)
 
 
 def _parse_run(catalog, lines):
@@ -68,33 +75,37 @@ def _parse_run(catalog, lines):
     read with one json.loads; a repeated label keeps its last record.
     Raises DataError with the reason for refusing the run."""
     try:
-        body = ",".join(lines)
+        body = ",\n".join(lines)
         # one "{" opening and one "}" closing each line: no record spans
         # lines and no string holds a brace
-        if not (body.count("{") == body.count("}") == len(lines)
-                and all(t[0] == "{" and t[-1] == "}" for t in lines)):
+        if not (body.count("{") == body.count("}") == body.count("},\n{") + 1 == len(lines)
+                and body[0] == "{" and body[-1] == "}"):
             raise ValueError("not one flat JSON object per line")
-        # outside strings these only spell booleans, which numpy reads as 1 and 0
-        if "true" in body or "false" in body:
+        # outside strings these only spell booleans, which would read as 1
+        # and 0; neither "u" nor "s" occurs in a number or a key we write
+        if ("u" in body and "true" in body) or ("s" in body and "false" in body):
             raise ValueError("true or false in a record")
         recs = json.loads("[%s]" % body)
-        if not all(type(c) is int for r in recs for c in r["label"]):
+        labels, mats = list(map(itemgetter("label"), recs)), list(map(itemgetter("matrix"), recs))
+        if not set(map(type, chain.from_iterable(labels))) <= {int}:
             raise ValueError("label entries must be integers")
-        pos = np.array([catalog.position(r["label"]) for r in recs], dtype=int)
+        pos = catalog.positions(labels)
         d = catalog.dims[pos]
-        rows = [row for r in recs for row in r["matrix"]]
-        if ([len(r["matrix"]) for r in recs] != d.tolist()
-                or [len(row) for row in rows] != np.repeat(d, d).tolist()):
+        rows = list(chain.from_iterable(mats))
+        if (list(map(len, mats)) != d.tolist()
+                or list(map(len, rows)) != np.repeat(d, d).tolist()):
             raise ValueError("matrix is not d x d for its label")
-        cells = np.array([c for row in rows for c in row])
-        if cells.dtype == object and all(type(x) in (int, float) for x in cells.flat):
-            cells = cells.astype(float)  # JSON integers past 64 bits
-        if (cells.shape != (len(cells), 2) or cells.dtype.kind not in "biuf"
-                or not np.isfinite(cells).all()):
+        pairs = list(chain.from_iterable(rows))
+        try:
+            # array("d") takes ints (even past 64 bits) and floats, nothing else
+            cells = np.frombuffer(array("d", chain.from_iterable(pairs)))
+        except TypeError:
+            cells = None
+        if cells is None or set(map(len, pairs)) != {2} or not np.isfinite(cells).all():
             raise ValueError("matrix entries must be pairs [re, im] of finite numbers")
     except (KeyError, ValueError, TypeError, OverflowError, RecursionError, DomainError) as exc:
-        raise DataError(exc)
-    values = np.ascontiguousarray(cells, float).view(complex)[:, 0]
+        raise DataError("missing key %s" % exc if type(exc) is KeyError else exc)
+    values = cells.view(complex)
     if len(set(pos.tolist())) < len(pos):
         keep = np.isin(np.arange(len(pos)), len(pos) - 1 - np.unique(pos[::-1], return_index=True)[1])
         pos, values = pos[keep], values[np.repeat(keep, d * d)]
@@ -106,9 +117,9 @@ def field_from_jsonl(text, catalog):
     label keeps its last record.  A run of lines that _parse_run refuses
     is read again one line at a time, so the DataError names the first
     bad line and gives its reason."""
-    lines = [t for t in (t.strip() for t in text.splitlines()) if t]
+    lines = list(filter(None, map(str.strip, text.splitlines())))
     out = CoefficientField(catalog)
-    for a, b in _runs([len(t) for t in lines], 1 << 15):
+    for a, b in _runs(np.fromiter(map(len, lines), int, len(lines)), 1 << 15):
         try:
             parts = [_parse_run(catalog, lines[a:b])]
         except DataError:
@@ -144,9 +155,12 @@ def _g17(*xs):
 
 
 def samples_to_csv(values):
-    """Node-major (C-order) flattening, columns re, im."""
-    return _csv_text(SAMPLE_HEADER, (_g17(v.real, v.imag)
-                                     for v in np.asarray(values, dtype=complex).ravel()))
+    """Node-major (C-order) flattening, columns re, im.  A non-finite
+    value is refused before any text is built."""
+    flat = np.asarray(values, dtype=complex).ravel()
+    if not np.isfinite(flat).all():
+        raise DataError("sample %d is not finite" % np.argmin(np.isfinite(flat)))
+    return _csv_text(SAMPLE_HEADER, (_g17(v.real, v.imag) for v in flat))
 
 
 def _csv_values(text, kind, header):

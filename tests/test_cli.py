@@ -434,3 +434,20 @@ def test_dstack_budget_exits_4(capsys, monkeypatch):
                              monkeypatch=monkeypatch)
     assert (code, out) == (4, "")
     assert err.startswith("resource error") and "little-d stack" in err
+
+
+def test_writers_refuse_non_finite_values_exit_3(capsys, tmp_path):
+    # the sums of both transforms overflow: five samples of 1.7e308 on the
+    # forward one, coefficients of 1e308 on the inverse one
+    samples = tmp_path / "s.csv"
+    samples.write_text("re,im\n" + "1.7e308,0\n" * 5)
+    coeffs = tmp_path / "c.jsonl"
+    coeffs.write_text("".join('{"label": [%d], "matrix": [[[1e308, 0.0]]]}\n' % k
+                              for k in (0, 1, -1)))
+    cat = ["--group", "t1", "--cutoff", "2.5"]
+    for argv, what in ((["transform", "-i", str(samples)], "label (0,)"),
+                       (["transform", "--inverse", "-i", str(coeffs)], "sample 0")):
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out, err = run_cli(capsys, argv + cat)
+        assert (code, out) == (3, ""), argv
+        assert err.startswith("data error") and "%s is not finite" % what in err

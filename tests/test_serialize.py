@@ -1,9 +1,13 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gevreykit import serialize
 from gevreykit.errors import DataError
 from gevreykit.fourier import CoefficientField
 from gevreykit.gevrey import GevreyVerdict, fourier_side_test, synthesize_gevrey
@@ -233,3 +237,110 @@ def test_field_jsonl_repeated_labels_keep_their_last_record():
     assert f.labels() == [c for c in cat.labels if c[0] in last]
     for l, k in last.items():
         assert f[(l,)][0, 0] == k + 0.5j
+
+
+def test_field_jsonl_names_a_missing_key():
+    cat = enumerate_dual(GroupSpec("su2"), 5.0)
+    for text, key in (('{"label": [0]}', "matrix"), ('{"matrix": [[[1.0, 0.0]]]}', "label")):
+        with pytest.raises(DataError, match="line 1: missing key '%s'$" % key):
+            field_from_jsonl(text, cat)
+
+
+def test_writers_refuse_non_finite_values():
+    cat = enumerate_dual(GroupSpec("su2"), 5.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        f = _random_field(cat, np.random.default_rng(3))
+        f.data[7] = complex(1.0, bad)  # packed entry 7 is in class 2j = 2
+        with pytest.raises(DataError, match=r"label \(2,\) is not finite"):
+            field_to_jsonl(f)
+        with pytest.raises(DataError, match="sample 4 is not finite"):
+            samples_to_csv(np.where(np.arange(6) == 4, bad, 1.0))
+
+
+# large enough that every field spans several writer and reader runs
+ORACLE_CATALOGS = {
+    "T1": enumerate_dual(GroupSpec("torus", 1), 300.5),
+    "T2": enumerate_dual(GroupSpec("torus", 2), 12.5),
+    "SU2": enumerate_dual(GroupSpec("su2"), 12.1),
+    "SO3": enumerate_dual(GroupSpec("so3"), 12.1),
+}
+EDGE_DOUBLES = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e-5, 1e16, 123456789.0,
+                1.7976931348623157e308]
+
+
+@st.composite
+def finite_fields(draw):
+    """Random finite bit patterns and edge doubles, with absent classes;
+    the empty field is drawn too."""
+    cat = ORACLE_CATALOGS[draw(st.sampled_from(sorted(ORACLE_CATALOGS)))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    present = rng.random(len(cat)) < draw(st.sampled_from([0.0, 0.3, 0.9, 1.0]))
+    n = 2 * int(cat.offsets[-1])
+    bits = rng.integers(0, 2**64, n, dtype=np.uint64, endpoint=False).view(float)
+    edge = rng.choice(EDGE_DOUBLES, n) * rng.choice([-1.0, 1.0], n)
+    values = np.where(np.isfinite(bits) & (rng.random(n) < 0.5), bits, edge).view(complex)
+    values[~np.repeat(present, np.diff(cat.offsets))] = 0.0
+    return CoefficientField(cat, data=values, present=present)
+
+
+@settings(max_examples=40, deadline=None)
+@given(finite_fields())
+def test_field_jsonl_lines_are_json_dumps_of_their_records(f):
+    text = field_to_jsonl(f)
+    want = []
+    for label in f.labels():
+        block = f[label]
+        matrix = np.stack([block.real, block.imag], axis=-1).tolist()
+        want.append(json.dumps({"label": list(label), "matrix": matrix}) + "\n")
+    assert text == "".join(want)
+    g = field_from_jsonl(text, f.catalog)
+    assert np.array_equal(g.present, f.present)
+    assert g.data.tobytes() == f.data.tobytes()
+
+
+def test_field_jsonl_reads_every_layout_the_format_allows():
+    rng = np.random.default_rng(12)
+    for cat in (ORACLE_CATALOGS["T2"], ORACLE_CATALOGS["SU2"]):
+        present = rng.random(len(cat)) < 0.7
+        mask = np.repeat(present, 2 * np.diff(cat.offsets))
+        ints = rng.integers(-9, 10, mask.size) * mask
+        floats = np.where(mask, rng.standard_normal(mask.size), 0.0)
+        floats = CoefficientField(cat, data=floats.view(complex), present=present)
+        whole = CoefficientField(cat, data=ints.astype(float).view(complex), present=present)
+        text = field_to_jsonl(floats)
+        recs = [json.loads(t) for t in text.splitlines()]
+        for f, variant in (
+                (floats, "\n".join(json.dumps({"matrix": r["matrix"], "label": r["label"]})
+                                   for r in recs)),
+                (floats, "\n".join(json.dumps(r, separators=(",", ":")) for r in recs)),
+                (floats, "\n".join(json.dumps(dict(r, note="x y", n=[1, 2.5])) for r in recs)),
+                (floats, text.replace("\n", "\r\n")),
+                (floats, "\n \n" + text.replace("\n", "\n\n\t\n") + "\n   "),
+                (whole, field_to_jsonl(whole).replace(".0", ""))):
+            g = field_from_jsonl(variant, cat)
+            assert np.array_equal(g.present, f.present)
+            assert g.data.tobytes() == f.data.tobytes()
+
+
+def test_field_jsonl_codec_makes_no_json_call_per_record(monkeypatch):
+    calls = {"dumps": 0, "loads": 0}
+
+    def counted(name):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return getattr(json, name)(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(serialize, "json", SimpleNamespace(dumps=counted("dumps"),
+                                                         loads=counted("loads")))
+    for spec, cutoff in ((GroupSpec("su2"), 16.1), (GroupSpec("torus", 2), 30.5)):
+        cat = enumerate_dual(spec, cutoff)
+        f = synthesize_gevrey(cat, 1.0, 1.0, "random_phase", seed=4)
+        calls.update(dumps=0, loads=0)
+        text = field_to_jsonl(f)
+        # the writer cuts runs of about 2048 size units, d^2 + 8 a record
+        assert calls["dumps"] <= 2 * (int((cat.dims**2 + 8).sum()) // 2048 + 1)
+        g = field_from_jsonl(text, cat)
+        # the reader cuts runs of about 32 KB of text
+        assert 1 <= calls["loads"] <= len(text) // (1 << 15) + 1
+        assert g.data.tobytes() == f.data.tobytes()
