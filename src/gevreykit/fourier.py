@@ -9,6 +9,12 @@ alpha and gamma phases are applied once for all classes, and the
 little-d factor is one value per packed entry and beta node, so the
 forward transform is one gather and one weighted sum over beta and the
 inverse is one scatter of every entry in catalog order.
+
+The pointwise series (inverse_transform) on SU(2) and SO(3) builds one
+little-d stack per call, over the distinct betas of its points and in
+chunks of betas that fit groups.FIELD_ENTRY_BUDGET, and forms each term
+with rep_matrix's floating-point steps, so its values are bit for bit
+those of evaluating rep_matrix point by point.
 """
 
 import math
@@ -18,7 +24,7 @@ import numpy as np
 
 from . import groups
 from .errors import ContractViolation, DomainError, ResourceError
-from .quadrature import band_for_catalog, rep_matrix, tree_sum, wigner_d_cached
+from .quadrature import band_for_catalog, rep_matrix, tree_sum, wigner_d_all, wigner_d_cached
 
 
 class CoefficientField:
@@ -210,18 +216,70 @@ def inverse_on_grid(coeffs, grid):
     return np.einsum("ma,mbn,ng->abg", np.conj(ea), acc, np.conj(eg))
 
 
+def _point_rows(spec, points):
+    """The points as float rows, refused with DomainError before any work:
+    a torus point needs torus_dim angles, an SU(2) or SO(3) point is an
+    Euler triple, and every angle is finite."""
+    torus = spec.family == "torus"
+    width = spec.torus_dim if torus else 3
+    rows = np.empty((len(points), width))
+    for i, x in enumerate(points):
+        try:
+            row = np.atleast_1d(np.asarray(x, dtype=float))
+        except (TypeError, ValueError):
+            row = None
+        if row is None or row.shape != (width,):
+            raise DomainError("torus element needs %d angles" % width if torus
+                              else "point %d is not an Euler triple (alpha, beta, gamma)" % i)
+        if not np.isfinite(row).all():
+            raise DomainError("point %d has a non-finite angle" % i)
+        rows[i] = row
+    return rows
+
+
 def inverse_transform(coeffs, points):
-    """Evaluate the inversion series at a list of group elements."""
-    spec = coeffs.catalog.spec
+    """Evaluate the inversion series at a list of group elements.
+
+    The points are checked before any work.  On SU(2) and SO(3) one
+    little-d stack up to the top present 2j serves every point and class,
+    built over the distinct betas in chunks whose stack fits
+    groups.FIELD_ENTRY_BUDGET; each term takes rep_matrix's steps with
+    its d matrix, and each point's terms add by tree_sum in catalog order.
+    """
+    cat = coeffs.catalog
+    rows = _point_rows(cat.spec, points)
     values = np.zeros(len(points), dtype=complex)
     labels = coeffs.labels()
-    for i, x in enumerate(points):
-        terms = np.empty(len(labels), dtype=complex)
-        for j, label in enumerate(labels):
-            rep = coeffs.catalog.lookup(label)
-            xi = rep_matrix(spec, rep, x)
-            terms[j] = rep.dim * np.trace(xi @ coeffs[label])
-        values[i] = tree_sum(terms) if len(terms) else 0.0
+    if not labels:
+        return values
+    if cat.spec.family == "torus":
+        for i, x in enumerate(points):
+            terms = np.empty(len(labels), dtype=complex)
+            for j, label in enumerate(labels):
+                rep = cat.lookup(label)
+                xi = rep_matrix(cat.spec, rep, x)
+                terms[j] = rep.dim * np.trace(xi @ coeffs[label])
+            values[i] = tree_sum(terms)
+        return values
+    two_js = [cat.lookup(label).dim - 1 for label in labels]
+    blocks = [coeffs[label] for label in labels]
+    mvals = {t: (t - 2 * np.arange(t + 1)) / 2.0 for t in set(two_js)}
+    # distinct betas by bit pattern, so -0.0 keeps its own d matrices
+    bits, where = np.unique(rows[:, 1].view(np.int64), return_inverse=True)
+    top = max(two_js)
+    # betas per stack: one beta's stack holds sum of d^2 for 2j <= top entries
+    chunk = max(1, groups.FIELD_ENTRY_BUDGET // ((top + 1) * (top + 2) * (2 * top + 3) // 6))
+    terms = np.empty(len(labels), dtype=complex)
+    for start in range(0, len(bits), chunk):
+        stack = wigner_d_all(top, bits[start : start + chunk].view(float))
+        for i in np.flatnonzero((where >= start) & (where < start + chunk)).tolist():
+            alpha, _, gamma = rows[i].tolist()
+            for j, (t, f) in enumerate(zip(two_js, blocks)):
+                m = mvals[t]
+                d = stack[t][where[i] - start]
+                xi = np.exp(-1j * m[:, None] * alpha) * d * np.exp(-1j * m[None, :] * gamma)
+                terms[j] = (t + 1) * np.trace(xi @ f)
+            values[i] = tree_sum(terms)
     return values
 
 

@@ -199,8 +199,14 @@ def decay_csv(coeffs):
 
 
 def sphere_csv(grid, sphere_values):
-    """Rows (beta, alpha, re, im) over the (beta, alpha) projected grid."""
+    """Rows (beta, alpha, re, im) over the (beta, alpha) projected grid.
+    A non-finite value is refused before any text is built."""
     vals = np.asarray(sphere_values, dtype=complex)
+    bad = np.argwhere(~np.isfinite(vals))
+    if len(bad):
+        bi, ai = bad[0].tolist()
+        raise DataError("sphere value at (beta, alpha) = (%r, %r) is not finite"
+                        % (float(grid.beta[bi]), float(grid.alpha[ai])))
     return _csv_text(SPHERE_HEADER, (
         _g17(beta, alpha, vals[bi, ai].real, vals[bi, ai].imag)
         for bi, beta in enumerate(grid.beta) for ai, alpha in enumerate(grid.alpha)))

@@ -230,12 +230,15 @@ def test_non_finite_input_exits_3(capsys, monkeypatch):
         assert out == ""
         assert "line 1" in err
     grid = build_grid(GroupSpec("so3"), band_for_catalog(enumerate_dual(GroupSpec("so3"), 3.0)))
-    values = np.ones((len(grid.beta), len(grid.alpha)), dtype=complex)
-    values[1, 2] = np.nan
+    # the writer refuses NaN, so the NaN goes into the (1, 2) row's text
+    rows = sphere_csv(grid, np.ones((len(grid.beta), len(grid.alpha)))).splitlines(True)
+    k = 1 + len(grid.alpha) + 2
+    cells = rows[k].split(",")
+    rows[k] = ",".join(cells[:2] + ["nan"] + cells[3:])
     code, out, err = run_cli(
         capsys,
         ["sphere", "--group", "so3", "--cutoff", "3", "--action", "lift"],
-        stdin_text=sphere_csv(grid, values),
+        stdin_text="".join(rows),
         monkeypatch=monkeypatch,
     )
     assert code == 3
@@ -451,3 +454,19 @@ def test_writers_refuse_non_finite_values_exit_3(capsys, tmp_path):
             code, out, err = run_cli(capsys, argv + cat)
         assert (code, out) == (3, ""), argv
         assert err.startswith("data error") and "%s is not finite" % what in err
+
+
+def test_sphere_series_refuses_non_finite_values_exit_3(capsys, tmp_path):
+    # coefficients of 1e308 project cleanly, but their series overflows
+    coeffs = tmp_path / "c.jsonl"
+    coeffs.write_text("".join('{"label": [%d], "matrix": %s}\n' % (l, [[[1e308, 0.0]] * d] * d)
+                              for l, d in ((0, 1), (1, 3), (2, 5))))
+    sphere = ["sphere", "--group", "so3", "--cutoff", "3"]
+    code, projected, _ = run_cli(capsys, sphere + ["--action", "project", "-i", str(coeffs)])
+    assert code == 0
+    target = tmp_path / "p.jsonl"
+    target.write_text(projected)
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, err = run_cli(capsys, sphere + ["--action", "series", "-i", str(target)])
+    assert (code, out) == (3, "")
+    assert err.startswith("data error") and "(beta, alpha)" in err and "not finite" in err

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gevreykit import fourier, groups
 from gevreykit.duality import delta_sequence
 from gevreykit.errors import ContractViolation, DomainError
 from gevreykit.fourier import (
@@ -22,8 +25,11 @@ from gevreykit.quadrature import (
     band_for_catalog,
     build_grid,
     identity_element,
+    random_element,
     rep_matrix,
     sample_function,
+    tree_sum,
+    wigner_d_all,
 )
 
 FAMILIES = [
@@ -202,3 +208,115 @@ def test_grid_transforms_match_the_rep_matrix_series(spec, cutoff, band, absent)
     assert np.abs(back.data - coeffs.data).max() < 1e-12
     for i in absent:
         assert np.abs(back[cat.labels[i]]).max() < 1e-12
+
+
+def _series_oracle(coeffs, points):
+    """inverse_transform as a per-point, per-class rep_matrix loop."""
+    spec = coeffs.catalog.spec
+    values = np.zeros(len(points), dtype=complex)
+    labels = coeffs.labels()
+    for i, x in enumerate(points):
+        terms = np.empty(len(labels), dtype=complex)
+        for j, label in enumerate(labels):
+            rep = coeffs.catalog.lookup(label)
+            xi = rep_matrix(spec, rep, x)
+            terms[j] = rep.dim * np.trace(xi @ coeffs[label])
+        values[i] = tree_sum(terms) if len(terms) else 0.0
+    return values
+
+
+SERIES_CATALOGS = {
+    "T1": enumerate_dual(GroupSpec("torus", 1), 9.0),
+    "T2": enumerate_dual(GroupSpec("torus", 2), 4.5),
+    "SU2": enumerate_dual(GroupSpec("su2"), 6.8),
+    "SO3": enumerate_dual(GroupSpec("so3"), 9.0),
+}
+
+
+@st.composite
+def series_inputs(draw):
+    """A field with absent classes (or none present) and points with repeats
+    and shared betas (or none)."""
+    cat = SERIES_CATALOGS[draw(st.sampled_from(sorted(SERIES_CATALOGS)))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    keep = draw(st.lists(st.booleans(), min_size=len(cat), max_size=len(cat)))
+    field = CoefficientField(cat)
+    for rep, k in zip(cat, keep):
+        if k:
+            shape = (rep.dim, rep.dim)
+            field[rep.label] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    spec = cat.spec
+    points = [random_element(spec, rng) for _ in range(draw(st.integers(0, 5)))]
+    if points and draw(st.booleans()):
+        points += [points[0], points[-1]]
+        if spec.family != "torus":
+            points += [(rng.uniform(0, 6), points[0][1], rng.uniform(0, 6)),
+                       (0.0, 0.0, 0.0), (1.0, -0.0, 2.0), (0.5, math.pi, 1.0)]
+    return field, points
+
+
+@settings(max_examples=60, deadline=None)
+@given(series_inputs())
+def test_inverse_transform_is_bit_identical_to_the_rep_matrix_loop(case):
+    field, points = case
+    got = inverse_transform(field, points)
+    ref = _series_oracle(field, points)
+    assert np.array_equal(got, ref)
+    assert got.tobytes() == ref.tobytes()
+
+
+def _count_d_stacks(monkeypatch):
+    calls = []
+
+    def counting(two_jmax, beta):
+        calls.append((two_jmax, len(beta)))
+        return wigner_d_all(two_jmax, beta)
+
+    monkeypatch.setattr(fourier, "wigner_d_all", counting)
+    return calls
+
+
+def test_inverse_transform_builds_one_d_stack_per_call(monkeypatch):
+    rng = np.random.default_rng(21)
+    calls = _count_d_stacks(monkeypatch)
+    # the pointwise_eval sizes: SO(3) l <= 8 at 4 points, SU(2) 2j <= 12 at 2
+    for key, n in (("SO3", 4), ("SU2", 2)):
+        cat = SERIES_CATALOGS[key]
+        field = _random_field(cat, rng)
+        points = [random_element(cat.spec, rng) for _ in range(n)]
+        calls.clear()
+        inverse_transform(field, points)
+        assert calls == [(int(cat.dims[-1]) - 1, n)]
+
+
+def test_inverse_transform_chunks_betas_to_fit_the_budget(monkeypatch):
+    rng = np.random.default_rng(22)
+    cat = SERIES_CATALOGS["SU2"]
+    field = _random_field(cat, rng)
+    points = [random_element(cat.spec, rng) for _ in range(7)]
+    points += [(0.1, points[2][1], 0.2), points[5]]
+    ref = _series_oracle(field, points)
+    calls = _count_d_stacks(monkeypatch)
+    # two betas' stacks up to 2j = 12 fit, three do not
+    monkeypatch.setattr(groups, "FIELD_ENTRY_BUDGET", 2 * 13 * 14 * 27 // 6)
+    got = inverse_transform(field, points)
+    assert got.tobytes() == ref.tobytes()
+    assert calls == [(12, 2), (12, 2), (12, 2), (12, 1)]
+
+
+@pytest.mark.parametrize("key,point,message", [
+    ("SU2", (1.0, 2.0), "point 1 is not an Euler triple"),
+    ("SO3", (1.0, 2.0, 3.0, 4.0), "point 1 is not an Euler triple"),
+    ("SO3", "abc", "point 1 is not an Euler triple"),
+    ("SU2", (0.0, math.nan, 1.0), "point 1 has a non-finite angle"),
+    ("SO3", (math.inf, 1.0, 1.0), "point 1 has a non-finite angle"),
+    ("T2", (0.5, -math.inf), "point 1 has a non-finite angle"),
+    ("T1", (math.nan,), "point 1 has a non-finite angle"),
+    ("T2", (0.5,), "torus element needs 2 angles"),
+])
+def test_inverse_transform_refuses_bad_points(monkeypatch, key, point, message):
+    cat = SERIES_CATALOGS[key]
+    calls = _count_d_stacks(monkeypatch)
+    with pytest.raises(DomainError, match=message):
+        inverse_transform(CoefficientField.identity(cat), [identity_element(cat.spec), point])
+    assert calls == []
