@@ -248,13 +248,6 @@ def cmd_sphere(args):
                               _opt(args, "mode", default="R")))
 
 
-def _trials(args, default):
-    trials = _opt(args, "trials", default=default)
-    if trials < 1:
-        raise ConfigurationError("--trials must be at least 1, got %d" % trials)
-    return trials
-
-
 def _probe_series(args):
     _, cat = _catalog(args)
     ts = _opt(args, "t")
@@ -269,7 +262,7 @@ def _probe_hy(args):
     rng = np.random.default_rng(_opt(args, "seed", default=0))
     grid = build_grid(spec, band_for_catalog(cat))
     worst = [np.inf, np.inf]
-    trials = _trials(args, 10)
+    trials = _opt(args, "trials", default=10)
     for _ in range(trials):
         samples = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
         coeffs = forward_transform(grid, samples, cat)
@@ -280,7 +273,7 @@ def _probe_hy(args):
 
 def _probe_norms(args):
     rng = np.random.default_rng(_opt(args, "seed", default=0))
-    trials = _trials(args, 100)
+    trials = _opt(args, "trials", default=100)
     worst = matrix_norm_probe(rng, trials)
     return _emit(args, json.dumps({"trials": trials, "smallest_slack": worst}) + "\n")
 
@@ -313,6 +306,15 @@ def cmd_verify(args):
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERDICT
 
 
+def _int_at_least(low, flag):
+    """Option type: an int of at least ``low``; a smaller one is a usage error."""
+    def integer(text):
+        if int(text) < low:
+            raise ConfigurationError("%s must be at least %d, got %s" % (flag, low, text))
+        return int(text)
+    return integer
+
+
 # Every option once: its flags and argparse keywords.  The key is the
 # option's dest and its config-file key; `type` casts config values too.
 OPTIONS = {
@@ -327,7 +329,7 @@ OPTIONS = {
     "s": (("--s",), dict(type=float, help="Gevrey order")),
     "B": (("--B",), dict(type=float, help="decay rate")),
     "profile": (("--profile",), dict(choices=PROFILES)),
-    "seed": (("--seed",), dict(type=int)),
+    "seed": (("--seed",), dict(type=_int_at_least(0, "--seed"))),
     "decay_csv": (("--decay-csv",), dict(help="also write decay CSV here")),
     "mode": (("--mode",), dict(choices=("R", "B", "roumieu", "beurling"))),
     "side": (("--side",), dict(choices=tuple(SIDES))),
@@ -336,7 +338,7 @@ OPTIONS = {
     "action": (("--action",), dict(choices=("project", "lift", "series", "test", "ultra"))),
     "lemma": (("--lemma",), dict(choices=tuple(PROBES))),
     "t": (("--t",), dict(type=float, action="append", help="exponent for the series probe")),
-    "trials": (("--trials",), dict(type=int)),
+    "trials": (("--trials",), dict(type=_int_at_least(1, "--trials"))),
     "quick": (("--quick",), dict(action="store_true", default=None,
                                  help="acceptance checks only")),
 }

@@ -118,9 +118,9 @@ def _pairing_terms(seq, coeffs):
 def _tail_share(mags, brackets):
     """Cauchy check over the last decade of brackets: the total of
     ``mags``, its part on brackets >= max/10, that part's share of the
-    total, and the bracket where the decade starts."""
+    total, and the bracket where the decade starts; all 0 on no brackets."""
     total = float(mags.sum())
-    cut = brackets.max() / 10.0
+    cut = brackets.max(initial=0.0) / 10.0
     tail = float(mags[brackets >= cut].sum())
     return total, tail, tail / total if total > 0 else 0.0, cut
 
@@ -128,8 +128,6 @@ def _tail_share(mags, brackets):
 def pairing_diagnostic(seq, coeffs):
     """Cauchy check of the pairing terms over the last decade of brackets."""
     terms, brackets = _pairing_terms(seq, coeffs)
-    if len(terms) == 0:
-        return PairingDiagnostic(0.0, 0.0, 0.0, 0.0)
     return PairingDiagnostic(*_tail_share(np.abs(terms), brackets))
 
 
@@ -209,8 +207,8 @@ def perfectness_roundtrip(coeffs, s, b_grid=(0.25, 0.5), points=None):
             rep = coeffs.catalog.lookup(label)
             xi = rep_matrix(coeffs.catalog.spec, rep, x)
             acc.append(rep.dim * np.trace(coeffs[label] @ xi))
-        resynth[i] = tree_sum(np.array(acc, dtype=complex)) if acc else 0.0
-    mismatch = float(np.abs(direct - resynth).max()) if len(points) else 0.0
+        resynth[i] = tree_sum(np.array(acc, dtype=complex))
+    mismatch = float(np.abs(direct - resynth).max(initial=0.0))
     return {
         "series": series,
         "converged": all_converge,

@@ -10,11 +10,8 @@ little-d factor is one value per packed entry and beta node, so the
 forward transform is one gather and one weighted sum over beta and the
 inverse is one scatter of every entry in catalog order.
 
-The pointwise series (inverse_transform) on SU(2) and SO(3) builds one
-little-d stack per call, over the distinct betas of its points and in
-chunks of betas that fit groups.FIELD_ENTRY_BUDGET, and forms each term
-with rep_matrix's floating-point steps, so its values are bit for bit
-those of evaluating rep_matrix point by point.
+The pointwise series (inverse_transform) forms each class at a slice of
+points at once on every family, bit for bit rep_matrix point by point.
 """
 
 import math
@@ -24,7 +21,9 @@ import numpy as np
 
 from . import groups
 from .errors import ContractViolation, DomainError, ResourceError
-from .quadrature import band_for_catalog, rep_matrix, tree_sum, wigner_d_all, wigner_d_cached
+from .quadrature import band_for_catalog, d_stack_entries, tree_sum, wigner_d_all, wigner_d_cached
+
+SERIES_SLICE_ENTRIES = 1 << 18  # per array of an inverse_transform slice: 4 MB complex
 
 
 class CoefficientField:
@@ -237,49 +236,49 @@ def _point_rows(spec, points):
     return rows
 
 
+def _slices(idx, width, entries=None):
+    step = max(1, (entries or SERIES_SLICE_ENTRIES) // width)  # rows per piece, at least 1
+    return [idx[lo : lo + step] for lo in range(0, len(idx), step)]
+
+
 def inverse_transform(coeffs, points):
     """Evaluate the inversion series at a list of group elements.
 
-    The points are checked before any work.  On SU(2) and SO(3) one
-    little-d stack up to the top present 2j serves every point and class,
-    built over the distinct betas in chunks whose stack fits
-    groups.FIELD_ENTRY_BUDGET; each term takes rep_matrix's steps with
-    its d matrix, and each point's terms add by tree_sum in catalog order.
+    The points are checked first.  Each class's term d Tr(xi(x) f_hat) is
+    a stacked matmul over a slice of points whose arrays hold at most
+    SERIES_SLICE_ENTRIES entries, and each point's terms add by tree_sum
+    in catalog order.  SU(2) and SO(3) build one little-d stack up to the
+    top present 2j over the distinct betas, in chunks within the field budget.
     """
     cat = coeffs.catalog
     rows = _point_rows(cat.spec, points)
-    values = np.zeros(len(points), dtype=complex)
-    labels = coeffs.labels()
-    if not labels:
+    values = np.zeros(len(rows), dtype=complex)
+    present = np.flatnonzero(coeffs.present)
+    if not len(present):
         return values
     if cat.spec.family == "torus":
-        for i, x in enumerate(points):
-            terms = np.empty(len(labels), dtype=complex)
-            for j, label in enumerate(labels):
-                rep = cat.lookup(label)
-                xi = rep_matrix(cat.spec, rep, x)
-                terms[j] = rep.dim * np.trace(xi @ coeffs[label])
-            values[i] = tree_sum(terms)
+        # exp(i k.x) and its product with each 1 x 1 block as stacked matmuls
+        k = np.array(cat.labels, dtype=float)[present, None, :]
+        f = coeffs.data[cat.offsets[present], None, None]
+        for at in _slices(np.arange(len(rows)), len(present)):
+            terms = cat.dims[present] * (np.exp(1j * (k @ rows[at, None, :, None])) @ f)[..., 0, 0]
+            values[at] = [tree_sum(row) for row in terms]
         return values
-    two_js = [cat.lookup(label).dim - 1 for label in labels]
-    blocks = [coeffs[label] for label in labels]
-    mvals = {t: (t - 2 * np.arange(t + 1)) / 2.0 for t in set(two_js)}
+    top = int(cat.dims[present].max()) - 1
     # distinct betas by bit pattern, so -0.0 keeps its own d matrices
     bits, where = np.unique(rows[:, 1].view(np.int64), return_inverse=True)
-    top = max(two_js)
-    # betas per stack: one beta's stack holds sum of d^2 for 2j <= top entries
-    chunk = max(1, groups.FIELD_ENTRY_BUDGET // ((top + 1) * (top + 2) * (2 * top + 3) // 6))
-    terms = np.empty(len(labels), dtype=complex)
-    for start in range(0, len(bits), chunk):
-        stack = wigner_d_all(top, bits[start : start + chunk].view(float))
-        for i in np.flatnonzero((where >= start) & (where < start + chunk)).tolist():
-            alpha, _, gamma = rows[i].tolist()
-            for j, (t, f) in enumerate(zip(two_js, blocks)):
-                m = mvals[t]
-                d = stack[t][where[i] - start]
-                xi = np.exp(-1j * m[:, None] * alpha) * d * np.exp(-1j * m[None, :] * gamma)
-                terms[j] = (t + 1) * np.trace(xi @ f)
-            values[i] = tree_sum(terms)
+    for betas in _slices(np.arange(len(bits)), d_stack_entries(top), groups.FIELD_ENTRY_BUDGET):
+        stack = wigner_d_all(top, bits[betas].view(float))
+        for at in _slices(np.flatnonzero((where >= betas[0]) & (where <= betas[-1])), (top + 1) ** 2):
+            alpha, gamma = rows[at, 0, None, None], rows[at, 2, None, None]
+            terms = np.empty((len(at), len(present)), dtype=complex)
+            for j, i in enumerate(present.tolist()):
+                d = int(cat.dims[i])
+                m = (d - 1 - 2 * np.arange(d)) / 2.0
+                xi = (np.exp(-1j * m[:, None] * alpha) * stack[d - 1][where[at] - betas[0]]
+                      * np.exp(-1j * m[None, :] * gamma))
+                terms[:, j] = d * np.trace(xi @ coeffs[cat.labels[i]], axis1=1, axis2=2)
+            values[at] = [tree_sum(row) for row in terms]
     return values
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .errors import DomainError, InsufficientDataError, ResourceError
+from .errors import DomainError, InsufficientDataError
 from .fourier import CoefficientField, diagonal_at, ranges
 
 HS_FLOOR = 1e-290
@@ -32,6 +32,7 @@ RHO_WINDOW_FACTOR = 1.35
 BEURLING_RHO_LOG_SLOPE = -0.25
 SATURATION_FRACTION = 0.95
 MIN_USABLE_K = 6
+SPACE_K_MAX = 16
 PROFILES = ("diagonal", "dense", "random_phase")
 LOG_DBL_MAX = math.log(np.finfo(float).max)
 
@@ -301,36 +302,31 @@ def log_l1_bounds(catalog, hs, idx, powers):
     return u, peaks
 
 
-def space_side_test(coeffs, s, k_max=16, mode="roumieu"):
+def space_side_test(coeffs, s, mode="roumieu"):
     """Membership verdict from sup-norm bounds of Laplacian powers.
 
-    u_k = log l1-bound of ||(-L)^k f||_inf, computed by log-sum-exp;
-    rho_k = exp((u_k - s log (2k)!)/(2k)) estimates the Gevrey radius A.
-    Roumieu passes when rho_k stays within a fixed window of its early
-    median; Beurling requires a decreasing trend.  Values of k dominated
-    by the truncation edge are excluded; if too few remain the spectrum
-    cannot support the factorial scale and the verdict fails.
+    u_k = log l1-bound of ||(-L)^k f||_inf, k = 1..SPACE_K_MAX, by
+    log-sum-exp; rho_k = exp((u_k - s log (2k)!)/(2k)) estimates the
+    Gevrey radius A.  Roumieu passes when rho_k stays within a fixed
+    window of its early median; Beurling requires a decreasing trend.
+    Values of k dominated by the truncation edge are excluded; if too few
+    remain the spectrum cannot support the factorial scale: a fail.
     """
-    if k_max > 200:
-        raise ResourceError("k_max > 200 exceeds the factorial-scale budget")
-    if k_max < 3:
-        raise DomainError("k_max must be >= 3")
     mode, hs, vacuous = _open_verdict(coeffs, s, mode)
     if vacuous is not None:
         return vacuous
     cat = coeffs.catalog
     flags = () if s >= 1 else ("s_below_duality_range",)
     idx = np.flatnonzero((hs > HS_FLOOR) & (cat.lambda_sq > 0.0))
-    ks = np.arange(1, k_max + 1)
+    ks = np.arange(1, SPACE_K_MAX + 1)
     u, peaks = log_l1_bounds(cat, hs, idx, 2.0 * ks)
     log_rho = (u - s * gammaln(2.0 * ks + 1.0)) / (2.0 * ks)
     rho = np.array([math.exp(v) for v in log_rho.tolist()])
     usable = cat.brackets[peaks] < SATURATION_FRACTION * cat.brackets[idx].max()
     witness = cat.labels[peaks[-1]]
     extras = {"k": ks, "u": u, "rho": rho, "usable": usable}
-    half = k_max // 2
-    early = rho[(ks >= 2) & (ks <= half) & usable]
-    late_mask = (ks >= half) & usable
+    early = rho[(ks >= 2) & (ks <= SPACE_K_MAX // 2) & usable]
+    late_mask = (ks >= SPACE_K_MAX // 2) & usable
     late = rho[late_mask]
     if int(usable.sum()) < MIN_USABLE_K or len(early) == 0 or len(late) == 0:
         return _verdict(mode, s, -math.inf, witness,
@@ -347,10 +343,10 @@ def space_side_test(coeffs, s, k_max=16, mode="roumieu"):
     return _verdict(mode, s, margin, witness, flags=flags, extras=extras)
 
 
-def cross_check(coeffs, s, mode, k_max=16):
+def cross_check(coeffs, s, mode):
     """Run both sides and report whether their verdicts agree."""
     fv = fourier_side_test(coeffs, s, mode)
-    sv = space_side_test(coeffs, s, k_max=k_max, mode=mode)
+    sv = space_side_test(coeffs, s, mode=mode)
     return {
         "fourier": fv,
         "space": sv,

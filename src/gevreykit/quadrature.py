@@ -72,6 +72,11 @@ def _d_seed(two_j, two_m, two_n, cb, sb):
     raise DomainError("seed requires |m| = j or |n| = j")
 
 
+def d_stack_entries(two_jmax):
+    """Entries of one beta's little-d stack up to 2j = two_jmax: sum of d^2."""
+    return (two_jmax + 1) * (two_jmax + 2) * (2 * two_jmax + 3) // 6
+
+
 def wigner_d_all(two_jmax, beta):
     """All little-d matrices d^j(beta) for 2j = 0, 1, ..., two_jmax.
 
@@ -89,8 +94,7 @@ def wigner_d_all(two_jmax, beta):
     groups.FIELD_ENTRY_BUDGET entries is refused before it is allocated.
     """
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
-    # sum of d^2 for 2j <= two_jmax, on every beta
-    entries = beta.size * (two_jmax + 1) * (two_jmax + 2) * (2 * two_jmax + 3) // 6
+    entries = beta.size * d_stack_entries(two_jmax)
     if entries > groups.FIELD_ENTRY_BUDGET:
         raise ResourceError("a little-d stack up to 2j = %d holds %d entries, more than the %d "
                             "allowed" % (two_jmax, entries, groups.FIELD_ENTRY_BUDGET))

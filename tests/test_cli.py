@@ -343,6 +343,22 @@ def test_probe_refuses_fewer_than_one_trial(capsys):
         assert err.startswith("usage error") and "--trials" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["synthesize", "--group", "t1", "--cutoff", "10", "--s", "2", "--B", "1",
+     "--profile", "random_phase"],
+    ["probe", "--lemma", "hy", "--group", "su2", "--cutoff", "3", "--trials", "1"],
+    ["probe", "--lemma", "norms", "--trials", "1"],
+])
+def test_negative_seed_exits_2(capsys, tmp_path, argv):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": -1}))
+    for extra in (["--seed", "-1"], ["--seed=-1"], ["--config", str(cfg)]):
+        code, out, err = run_cli(capsys, argv + extra)
+        assert (code, out) == (2, ""), extra
+        assert err.startswith("usage error") and "--seed" in err and "Traceback" not in err
+    assert run_cli(capsys, argv + ["--seed", "0"])[0] == 0
+
+
 def test_probe_series_exponent_must_be_a_finite_number(capsys):
     argv = ["probe", "--lemma", "series", "--group", "su2", "--cutoff", "10", "--t"]
     code, out, err = run_cli(capsys, argv + ["abc"])

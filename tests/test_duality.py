@@ -164,6 +164,19 @@ def test_perfectness_roundtrip():
         assert out["series"][bp]["converged"]
 
 
+@pytest.mark.parametrize("spec,cutoff", [(T1, 20.0), (SU2, 6.8)])
+def test_perfectness_roundtrip_on_a_field_with_no_norm_above_the_floor(spec, cutoff):
+    cat = enumerate_dual(spec, cutoff)
+    tiny = CoefficientField(cat)
+    tiny[cat.labels[1]] = np.full((cat.dims[1], cat.dims[1]), 1e-300 + 0j)
+    for coeffs in (CoefficientField(cat), tiny):
+        out = perfectness_roundtrip(coeffs, 2.0)
+        assert out["series"] == {bp: {"total": 0.0, "tail_fraction": 0.0, "converged": True}
+                                 for bp in (0.25, 0.5)}
+        assert out["converged"] and out["passed"]
+        assert out["resynthesis_mismatch"] == 0.0
+
+
 def test_pair_refuses_non_finite_terms():
     # 1e300 * 1e300 overflows, and inf / inf would slip past the tail check
     cat = enumerate_dual(T1, 10.0)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gevreykit import fourier, groups
+from gevreykit import fourier, groups, quadrature
 from gevreykit.duality import delta_sequence
 from gevreykit.errors import ContractViolation, DomainError
 from gevreykit.fourier import (
@@ -228,6 +228,7 @@ def _series_oracle(coeffs, points):
 SERIES_CATALOGS = {
     "T1": enumerate_dual(GroupSpec("torus", 1), 9.0),
     "T2": enumerate_dual(GroupSpec("torus", 2), 4.5),
+    "T3": enumerate_dual(GroupSpec("torus", 3), 2.5),
     "SU2": enumerate_dual(GroupSpec("su2"), 6.8),
     "SO3": enumerate_dual(GroupSpec("so3"), 9.0),
 }
@@ -302,6 +303,46 @@ def test_inverse_transform_chunks_betas_to_fit_the_budget(monkeypatch):
     got = inverse_transform(field, points)
     assert got.tobytes() == ref.tobytes()
     assert calls == [(12, 2), (12, 2), (12, 2), (12, 1)]
+
+
+@pytest.mark.parametrize("key,entries,budget", [
+    ("T2", 3 * 61, None), ("T3", 57, None), ("SO3", 6 * 17 * 17, 17 * 18 * 35 // 6)])
+def test_inverse_transform_slices_points_to_fit_the_slice_size(monkeypatch, key, entries, budget):
+    rng = np.random.default_rng(24)
+    cat = SERIES_CATALOGS[key]
+    field = _random_field(cat, rng)
+    points = [random_element(cat.spec, rng) for _ in range(7)]
+    if cat.spec.family != "torus":
+        points += [(a, points[2][1], g) for a, g in rng.uniform(0, 6, (8, 2))] + [points[5]]
+    ref = _series_oracle(field, points)
+    # slices of 3 torus points (1 on T3); on SO(3) one beta's stack up to
+    # l = 8 and slices of 6 points, so the shared beta's 9 points take two
+    monkeypatch.setattr(fourier, "SERIES_SLICE_ENTRIES", entries)
+    if budget:
+        monkeypatch.setattr(groups, "FIELD_ENTRY_BUDGET", budget)
+    slices, held = fourier._slices, []
+
+    def recording(idx, width, cap=None):
+        pieces = slices(idx, width, cap)
+        held.extend(len(p) * width for p in pieces if cap is None)
+        return pieces
+
+    monkeypatch.setattr(fourier, "_slices", recording)
+    assert inverse_transform(field, points).tobytes() == ref.tobytes()
+    assert len(held) >= 3 and max(held) <= entries
+
+
+@pytest.mark.parametrize("key", ["T1", "T2", "SU2", "SO3"])
+def test_inverse_transform_calls_no_rep_matrix(monkeypatch, key):
+    def refuse(*args):
+        raise AssertionError("rep_matrix called")
+
+    monkeypatch.setattr(quadrature, "rep_matrix", refuse)
+    monkeypatch.setattr(fourier, "rep_matrix", refuse, raising=False)
+    cat = SERIES_CATALOGS[key]
+    rng = np.random.default_rng(23)
+    points = [random_element(cat.spec, rng) for _ in range(3)]
+    assert inverse_transform(_random_field(cat, rng), points).shape == (3,)
 
 
 @pytest.mark.parametrize("key,point,message", [

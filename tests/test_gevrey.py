@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from gevreykit.errors import DomainError, ResourceError
+from gevreykit.errors import DomainError
 from gevreykit.fourier import CoefficientField
 from gevreykit.gevrey import (
     cross_check,
@@ -107,15 +107,6 @@ def test_short_spectrum_flagged():
     assert "short_spectrum" in v.flags
     assert v.passed
     assert not fourier_side_test(coeffs, 1.0, "B").passed
-
-
-def test_space_side_resource_limits():
-    cat = enumerate_dual(T1, 100.0)
-    coeffs = synthesize_gevrey(cat, 1.0, 1.0)
-    with pytest.raises(ResourceError):
-        space_side_test(coeffs, 1.0, k_max=300)
-    with pytest.raises(DomainError):
-        space_side_test(coeffs, 1.0, k_max=2)
 
 
 def test_invalid_s_rejected():
