@@ -121,6 +121,8 @@ def _config_value(name, val):
             val = [cast(v) for v in val]
         elif kw.get("action") == "store_true" and not isinstance(val, bool):
             raise TypeError("true or false is expected")
+        elif "type" in kw and isinstance(cast(val), int) and type(val) is not int:
+            raise TypeError("an integer is expected")
         else:
             val = cast(val)
     except (TypeError, ValueError) as exc:

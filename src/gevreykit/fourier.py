@@ -24,6 +24,7 @@ from .errors import ContractViolation, DomainError, ResourceError
 from .quadrature import band_for_catalog, d_stack_entries, tree_sum, wigner_d_all, wigner_d_cached
 
 SERIES_SLICE_ENTRIES = 1 << 18  # per array of an inverse_transform slice: 4 MB complex
+SPIN_PARITIES = {"su2": (0, 1), "so3": (0,)}  # parities of 2j in the dual: SO(3) has integer spins
 
 
 class CoefficientField:
@@ -163,7 +164,7 @@ def _euler_entries(catalog, grid):
     twice = np.arange(-two_band, two_band + 1)
     ea = np.exp(0.5j * np.outer(twice, grid.alpha))
     eg = np.exp(0.5j * np.outer(twice, grid.gamma))
-    dstack = wigner_d_cached(two_band, grid.beta)
+    dstack = wigner_d_cached(two_band, grid.beta, SPIN_PARITIES[grid.spec.family])
     d = np.concatenate([dstack[t].reshape(len(grid.beta), -1)
                         for t in (catalog.dims - 1).tolist()], axis=1)
     _, two_m, two_n = catalog.entry_weights
@@ -248,7 +249,8 @@ def inverse_transform(coeffs, points):
     a stacked matmul over a slice of points whose arrays hold at most
     SERIES_SLICE_ENTRIES entries, and each point's terms add by tree_sum
     in catalog order.  SU(2) and SO(3) build one little-d stack up to the
-    top present 2j over the distinct betas, in chunks within the field budget.
+    top present 2j of the family's parities over the distinct betas, in
+    chunks whose full-stack count stays within the field budget.
     """
     cat = coeffs.catalog
     rows = _point_rows(cat.spec, points)
@@ -268,7 +270,7 @@ def inverse_transform(coeffs, points):
     # distinct betas by bit pattern, so -0.0 keeps its own d matrices
     bits, where = np.unique(rows[:, 1].view(np.int64), return_inverse=True)
     for betas in _slices(np.arange(len(bits)), d_stack_entries(top), groups.FIELD_ENTRY_BUDGET):
-        stack = wigner_d_all(top, bits[betas].view(float))
+        stack = wigner_d_all(top, bits[betas].view(float), SPIN_PARITIES[cat.spec.family])
         for at in _slices(np.flatnonzero((where >= betas[0]) & (where <= betas[-1])), (top + 1) ** 2):
             alpha, gamma = rows[at, 0, None, None], rows[at, 2, None, None]
             terms = np.empty((len(at), len(present)), dtype=complex)

@@ -77,8 +77,8 @@ def d_stack_entries(two_jmax):
     return (two_jmax + 1) * (two_jmax + 2) * (2 * two_jmax + 3) // 6
 
 
-def wigner_d_all(two_jmax, beta):
-    """All little-d matrices d^j(beta) for 2j = 0, 1, ..., two_jmax.
+def wigner_d_all(two_jmax, beta, parities=(0, 1)):
+    """Little-d matrices d^j(beta) for 2j = 0, 1, ..., two_jmax of the given parities.
 
     Parameters
     ----------
@@ -86,12 +86,15 @@ def wigner_d_all(two_jmax, beta):
         Twice the largest spin.
     beta : array_like
         Angles in [0, pi], any shape; the matrices are vectorized over it.
+    parities : tuple of 0 and 1
+        Parities of 2j to build; the recursion steps 2j by 2, so they never mix.
 
     Returns
     -------
-    dict mapping two_j to an array of shape beta.shape + (d, d) with
-    d = two_j + 1, rows ordered by descending m.  A stack of more than
-    groups.FIELD_ENTRY_BUDGET entries is refused before it is allocated.
+    dict mapping each such two_j to an array of shape beta.shape + (d, d)
+    with d = two_j + 1, rows ordered by descending m.  A stack whose full
+    count (both parities) is more than groups.FIELD_ENTRY_BUDGET entries
+    is refused before it is allocated.
     """
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
     entries = beta.size * d_stack_entries(two_jmax)
@@ -101,25 +104,17 @@ def wigner_d_all(two_jmax, beta):
     cosb = np.cos(beta)
     cb = np.cos(beta / 2.0)
     sb = np.sin(beta / 2.0)
-    out = {
-        two_j: np.zeros(beta.shape + (two_j + 1, two_j + 1))
-        for two_j in range(two_jmax + 1)
-    }
-    for parity in (0, 1):
+    out = {two_j: np.zeros(beta.shape + (two_j + 1, two_j + 1))
+           for two_j in range(two_jmax + 1) if two_j % 2 in parities}
+    for parity in parities:
         ms = range(-two_jmax + ((two_jmax - parity) % 2), two_jmax + 1, 2)
-        pairs = [(tm, tn) for tm in ms for tn in ms]
-        for two_m, two_n in pairs:
-            two_j0 = max(abs(two_m), abs(two_n))
-            if two_j0 > two_jmax:
-                continue
-            m = two_m / 2.0
-            n = two_n / 2.0
+        for two_m, two_n in [(tm, tn) for tm in ms for tn in ms]:
+            two_j = max(abs(two_m), abs(two_n))
+            m, n = two_m / 2.0, two_n / 2.0
             prev = np.zeros_like(beta)
-            cur = _d_seed(two_j0, two_m, two_n, cb, sb)
-            two_j = two_j0
+            cur = _d_seed(two_j, two_m, two_n, cb, sb)
             while True:
-                mat = out[two_j]
-                mat[..., (two_j - two_m) // 2, (two_j - two_n) // 2] = cur
+                out[two_j][..., (two_j - two_m) // 2, (two_j - two_n) // 2] = cur
                 if two_j + 2 > two_jmax:
                     break
                 j = two_j / 2.0
@@ -137,24 +132,24 @@ def wigner_d_all(two_jmax, beta):
 
 
 def wigner_d_matrix(two_j, beta):
-    """Single little-d matrix; convenience wrapper over wigner_d_all."""
-    return wigner_d_all(two_j, beta)[two_j]
+    """Single little-d matrix; wigner_d_all on the parity of two_j only."""
+    return wigner_d_all(two_j, beta, (two_j % 2,))[two_j]
 
 
 DSTACK_CACHE_BYTES = 256 * 2**20
 _DSTACK_CACHE = {}
 
 
-def wigner_d_cached(two_jmax, beta):
+def wigner_d_cached(two_jmax, beta, parities=(0, 1)):
     """Memoized wigner_d_all for repeated transforms on the same grid.
 
     The cache keeps at most DSTACK_CACHE_BYTES of stacks, evicting the
     oldest first; a stack larger than the whole budget is not kept.
     """
-    key = (two_jmax, beta.tobytes())
+    key = (two_jmax, beta.tobytes(), tuple(parities))
     if key in _DSTACK_CACHE:
         return _DSTACK_CACHE[key]
-    stack = wigner_d_all(two_jmax, beta)
+    stack = wigner_d_all(two_jmax, beta, parities)
     if sum(a.nbytes for a in stack.values()) <= DSTACK_CACHE_BYTES:
         _DSTACK_CACHE[key] = stack
         while sum(a.nbytes for st in _DSTACK_CACHE.values() for a in st.values()) > DSTACK_CACHE_BYTES:

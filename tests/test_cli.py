@@ -394,6 +394,27 @@ def test_config_values_take_the_declared_types(capsys, tmp_path):
                                    "--cutoff", "10", "--t", "1.5", "--t", "2"])[1]
 
 
+@pytest.mark.parametrize("name,argv", [
+    ("seed", ["synthesize", "--group", "t1", "--cutoff", "10", "--s", "2", "--B", "1",
+              "--profile", "random_phase"]),
+    ("trials", ["probe", "--lemma", "norms", "--seed", "0"]),
+    ("band", ["transform", "--group", "so3", "--cutoff", "1", "--inverse"]),
+])
+def test_integer_config_values_must_be_integers(capsys, tmp_path, name, argv):
+    cfg = tmp_path / "cfg.json"
+    field = tmp_path / "field.jsonl"
+    field.write_text('{"label": [0], "matrix": [[[1.0, 0.0]]]}\n')
+    argv = argv + ["-i", str(field)] * (name == "band") + ["--config", str(cfg)]
+    for bad in (1.5, True, "3", 2.0):
+        cfg.write_text(json.dumps({name: bad}))
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, ""), bad
+        assert err.startswith("usage error") and "--" + name in err and "Traceback" not in err
+    cfg.write_text(json.dumps({name: 3}))
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0 and out == run_cli(capsys, argv[:-2] + ["--" + name, "3"])[1]
+
+
 def test_config_keys_must_be_options(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"group": "so3", "cutoff": 3, "sed": 5}))

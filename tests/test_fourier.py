@@ -269,9 +269,9 @@ def test_inverse_transform_is_bit_identical_to_the_rep_matrix_loop(case):
 def _count_d_stacks(monkeypatch):
     calls = []
 
-    def counting(two_jmax, beta):
-        calls.append((two_jmax, len(beta)))
-        return wigner_d_all(two_jmax, beta)
+    def counting(two_jmax, beta, *parities):
+        calls.append((two_jmax, len(beta)) + parities)
+        return wigner_d_all(two_jmax, beta, *parities)
 
     monkeypatch.setattr(fourier, "wigner_d_all", counting)
     return calls
@@ -281,13 +281,13 @@ def test_inverse_transform_builds_one_d_stack_per_call(monkeypatch):
     rng = np.random.default_rng(21)
     calls = _count_d_stacks(monkeypatch)
     # the pointwise_eval sizes: SO(3) l <= 8 at 4 points, SU(2) 2j <= 12 at 2
-    for key, n in (("SO3", 4), ("SU2", 2)):
+    for key, n, parities in (("SO3", 4, (0,)), ("SU2", 2, (0, 1))):
         cat = SERIES_CATALOGS[key]
         field = _random_field(cat, rng)
         points = [random_element(cat.spec, rng) for _ in range(n)]
         calls.clear()
         inverse_transform(field, points)
-        assert calls == [(int(cat.dims[-1]) - 1, n)]
+        assert calls == [(int(cat.dims[-1]) - 1, n, parities)]
 
 
 def test_inverse_transform_chunks_betas_to_fit_the_budget(monkeypatch):
@@ -302,7 +302,95 @@ def test_inverse_transform_chunks_betas_to_fit_the_budget(monkeypatch):
     monkeypatch.setattr(groups, "FIELD_ENTRY_BUDGET", 2 * 13 * 14 * 27 // 6)
     got = inverse_transform(field, points)
     assert got.tobytes() == ref.tobytes()
-    assert calls == [(12, 2), (12, 2), (12, 2), (12, 1)]
+    assert calls == [(12, 2, (0, 1)), (12, 2, (0, 1)), (12, 2, (0, 1)), (12, 1, (0, 1))]
+
+
+def test_d_stacks_ask_for_the_parities_of_the_dual(monkeypatch):
+    # SO(3) classes have integer spin, so only even 2j is built for them
+    calls = []
+
+    def recording(two_jmax, beta, *parities):
+        calls.append((two_jmax, parities[0] if parities else (0, 1)))
+        return wigner_d_all(two_jmax, beta, *parities)
+
+    monkeypatch.setattr(quadrature, "wigner_d_all", recording)
+    monkeypatch.setattr(fourier, "wigner_d_all", recording)
+    monkeypatch.setattr(quadrature, "_DSTACK_CACHE", {})
+    rng = np.random.default_rng(25)
+    for key, parities in (("SO3", (0,)), ("SU2", (0, 1))):
+        cat = SERIES_CATALOGS[key]
+        field = _random_field(cat, rng)
+        top = int(cat.dims[-1]) - 1
+        calls.clear()
+        inverse_transform(field, [random_element(cat.spec, rng) for _ in range(3)])
+        grid = build_grid(cat.spec, band_for_catalog(cat) + 1)
+        forward_transform(grid, inverse_on_grid(field, grid), cat)
+        two_band = 2 * grid.band if key == "SO3" else grid.band
+        assert calls == [(top, parities), (two_band, parities)]
+    calls.clear()
+    for two_j in range(6):
+        quadrature.wigner_d_matrix(two_j, np.array([0.4]))
+    assert calls == [(two_j, (two_j % 2,)) for two_j in range(6)]
+
+
+def _euler_entries_full_stack(catalog, grid):
+    two_band = 2 * grid.band if grid.spec.family == "so3" else grid.band
+    twice = np.arange(-two_band, two_band + 1)
+    ea = np.exp(0.5j * np.outer(twice, grid.alpha))
+    eg = np.exp(0.5j * np.outer(twice, grid.gamma))
+    dstack = wigner_d_all(two_band, grid.beta)
+    d = np.concatenate([dstack[t].reshape(len(grid.beta), -1)
+                        for t in (catalog.dims - 1).tolist()], axis=1)
+    _, two_m, two_n = catalog.entry_weights
+    return ea, eg, d, two_band + two_m, two_band + two_n
+
+
+def _forward_oracle(grid, samples, catalog):
+    """forward_transform's packed data as first written, on the full d stack."""
+    if catalog.spec.family == "torus":
+        spectrum = np.fft.fftn(samples) / samples.size
+        return spectrum[tuple((np.array(catalog.labels) % len(grid.alpha)).T)]
+    ea, eg, d, mi, ni = _euler_entries_full_stack(catalog, grid)
+    t1 = np.einsum("ma,abg->mbg", ea, samples) / len(grid.alpha)
+    t2 = np.einsum("ng,mbg->mbn", eg, t1) / len(grid.gamma)
+    coef = np.einsum("be,eb->e", 0.5 * grid.beta_weights[:, None] * d, t2[mi, :, ni])
+    return coef[catalog.transposed]
+
+
+def _inverse_oracle(coeffs, grid):
+    """inverse_on_grid as first written, on the full d stack."""
+    cat = coeffs.catalog
+    if cat.spec.family == "torus":
+        spectrum = np.zeros(grid.shape, dtype=complex)
+        spectrum[tuple((np.array(cat.labels) % len(grid.alpha)).T)] = coeffs.data
+        return np.fft.ifftn(spectrum) * spectrum.size
+    ea, eg, d, mi, ni = _euler_entries_full_stack(cat, grid)
+    acc = np.zeros((len(ea), len(grid.beta), len(eg)), dtype=complex)
+    np.add.at(acc, (mi, slice(None), ni),
+              (cat.entry_index[2] * (d * coeffs.data[cat.transposed])).T)
+    return np.einsum("ma,mbn,ng->abg", np.conj(ea), acc, np.conj(eg))
+
+
+@pytest.mark.parametrize("key", ["T1", "T2", "SU2", "SO3"])
+@pytest.mark.parametrize("extra_band", [0, 2])
+def test_grid_transforms_match_the_full_stack_kernels_bit_for_bit(monkeypatch, key, extra_band):
+    monkeypatch.setattr(quadrature, "_DSTACK_CACHE", {})
+    cat = SERIES_CATALOGS[key]
+    grid = build_grid(cat.spec, band_for_catalog(cat) + extra_band)
+    rng = np.random.default_rng(26 + extra_band)
+    for keep in (0.0, 0.6, 1.0):  # no class present, some absent, all present
+        field = CoefficientField(cat)
+        for rep in cat:
+            if rng.random() < keep:
+                field[rep.label] = rng.standard_normal((rep.dim, rep.dim)) + 1j * (
+                    rng.standard_normal((rep.dim, rep.dim)))
+        samples = inverse_on_grid(field, grid)
+        assert samples.tobytes() == _inverse_oracle(field, grid).tobytes()
+        noise = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+        for data in (samples, noise):
+            back = forward_transform(grid, data, cat)
+            assert back.present.all()
+            assert back.data.tobytes() == _forward_oracle(grid, data, cat).tobytes()
 
 
 @pytest.mark.parametrize("key,entries,budget", [

@@ -202,3 +202,29 @@ def test_dstack_budget_refuses_before_allocating(monkeypatch):
     # SO(3) at band 127: 5,559,680 entries on each of 128 betas
     with pytest.raises(ResourceError, match="711639040 entries"):
         wigner_d_all(254, np.zeros(128))
+
+
+def test_one_parity_stack_is_the_full_stacks_entries_bit_for_bit(monkeypatch):
+    from gevreykit import quadrature
+
+    x, _ = np.polynomial.legendre.leggauss(7)
+    betas = np.concatenate([[0.0, -0.0, math.pi, math.pi - 1e-12, 1e-300], np.arccos(x)])
+    for two_jmax in (0, 1, 39, 40):
+        full = wigner_d_all(two_jmax, betas)
+        for parity in (0, 1):
+            part = wigner_d_all(two_jmax, betas, (parity,))
+            assert sorted(part) == [t for t in range(two_jmax + 1) if t % 2 == parity]
+            for two_j, mat in part.items():
+                assert mat.tobytes() == full[two_j].tobytes(), (two_jmax, two_j)
+    for two_j in range(41):
+        assert wigner_d_matrix(two_j, betas).tobytes() == full[two_j].tobytes()
+    # the budget counts the full stack, whatever the parity built
+    monkeypatch.setattr(groups, "FIELD_ENTRY_BUDGET", len(betas) * 1785 - 1)
+    with pytest.raises(ResourceError, match="%d entries" % (len(betas) * 1785)):
+        wigner_d_all(16, betas, (0,))
+    # the cache keeps each parity apart
+    monkeypatch.undo()
+    monkeypatch.setattr(quadrature, "_DSTACK_CACHE", {})
+    even = quadrature.wigner_d_cached(4, betas, (0,))
+    assert sorted(even) == [0, 2, 4] and quadrature.wigner_d_cached(4, betas, (0,)) is even
+    assert sorted(quadrature.wigner_d_cached(4, betas)) == [0, 1, 2, 3, 4]
