@@ -346,7 +346,7 @@ def _euler_entries_full_stack(catalog, grid):
 
 
 def _forward_oracle(grid, samples, catalog):
-    """forward_transform's packed data as first written, on the full d stack."""
+    """forward_transform's packed data, on the full d stack of both parities."""
     if catalog.spec.family == "torus":
         spectrum = np.fft.fftn(samples) / samples.size
         return spectrum[tuple((np.array(catalog.labels) % len(grid.alpha)).T)]
@@ -358,7 +358,7 @@ def _forward_oracle(grid, samples, catalog):
 
 
 def _inverse_oracle(coeffs, grid):
-    """inverse_on_grid as first written, on the full d stack."""
+    """inverse_on_grid on the full d stack of both parities."""
     cat = coeffs.catalog
     if cat.spec.family == "torus":
         spectrum = np.zeros(grid.shape, dtype=complex)

@@ -216,7 +216,7 @@ def test_one_parity_stack_is_the_full_stacks_entries_bit_for_bit(monkeypatch):
             assert sorted(part) == [t for t in range(two_jmax + 1) if t % 2 == parity]
             for two_j, mat in part.items():
                 assert mat.tobytes() == full[two_j].tobytes(), (two_jmax, two_j)
-    for two_j in range(41):
+    for two_j in range(41):  # against the stack up to 2j = 40
         assert wigner_d_matrix(two_j, betas).tobytes() == full[two_j].tobytes()
     # the budget counts the full stack, whatever the parity built
     monkeypatch.setattr(groups, "FIELD_ENTRY_BUDGET", len(betas) * 1785 - 1)
