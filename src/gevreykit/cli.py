@@ -111,20 +111,27 @@ def _opt(args, name, default=None, required=False):
 
 
 def _config_value(name, val):
-    """A config-file value put through its option's declared type and choices."""
+    """A config-file value put through its option's declared type and
+    choices; a numeric option takes a JSON number only, an integer
+    option an integer only."""
     flags, kw = OPTIONS[name]
     cast = kw.get("type", lambda v: v)
+
+    def typed(v):
+        out = cast(v)
+        if isinstance(out, (int, float)) and type(v) not in (int, type(out)):
+            raise TypeError("a JSON %s is expected" % ("integer" if type(out) is int else "number"))
+        return out
+
     try:
         if kw.get("action") == "append":
             if not isinstance(val, list):
                 raise TypeError("a JSON list is expected")
-            val = [cast(v) for v in val]
+            val = [typed(v) for v in val]
         elif kw.get("action") == "store_true" and not isinstance(val, bool):
             raise TypeError("true or false is expected")
-        elif "type" in kw and isinstance(cast(val), int) and type(val) is not int:
-            raise TypeError("an integer is expected")
         else:
-            val = cast(val)
+            val = typed(val)
     except (TypeError, ValueError) as exc:
         raise ConfigurationError("config value %r for %s: %s" % (val, flags[0], exc))
     choices = kw.get("choices")

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from .errors import DomainError, InsufficientDataError
 from .fourier import CoefficientField, diagonal_at, ranges
@@ -282,6 +282,19 @@ def fourier_side_test(coeffs, s, mode):
     return _verdict(mode, s, margin, witness, model=model, flags=flags, extras=extras)
 
 
+def _logsumexp(a):
+    """log sum exp(a) of a finite 1-D float array, by the steps of
+    scipy.special.logsumexp (scipy 1.17) so the bits agree: the maxima
+    are kept out of the shifted sum, which is divided by their count
+    unless it is 0."""
+    top = a.max(keepdims=True)
+    is_top = a == top
+    count = is_top.sum(keepdims=True, dtype=float)
+    rest = np.exp(np.where(is_top, -math.inf, a) - top).sum(keepdims=True)
+    rest = np.where(rest == 0, rest, rest / count)
+    return (np.log1p(rest) + np.log(count) + top)[0]
+
+
 def log_l1_bounds(catalog, hs, idx, powers):
     """For each power p, the logsumexp over the classes ``idx`` of
     1.5 log d + log hs + p log|xi|, the log of the l1 bound on
@@ -298,7 +311,7 @@ def log_l1_bounds(catalog, hs, idx, powers):
     for i, p in enumerate(powers):
         at, terms = (idx, base) if p == 0 else (idx_m, base_m + p * log_abs)
         if len(terms):
-            u[i], peaks[i] = logsumexp(terms), at[np.argmax(terms)]
+            u[i], peaks[i] = _logsumexp(terms), at[np.argmax(terms)]
     return u, peaks
 
 

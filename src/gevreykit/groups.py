@@ -89,7 +89,7 @@ class DualCatalog:
     brackets are kept per class in catalog order, the numbers as
     read-only arrays; offsets[i]:offsets[i+1] is class i's slice of a
     packed coefficient array holding each d x d block row-major.  The
-    RepInfo records are built on first use.
+    RepInfo records and the label index are built on first use.
     """
 
     spec: GroupSpec
@@ -101,7 +101,6 @@ class DualCatalog:
     def __post_init__(self):
         object.__setattr__(self, "brackets", np.sqrt(1.0 + self.lambda_sq))
         object.__setattr__(self, "offsets", np.concatenate(([0], np.cumsum(self.dims**2))))
-        object.__setattr__(self, "_index", {l: i for i, l in enumerate(self.labels)})
         for arr in (self.dims, self.lambda_sq, self.brackets, self.offsets):
             arr.flags.writeable = False
 
@@ -126,6 +125,10 @@ class DualCatalog:
         row, col, d = self.entry_index
         # entry (n, m) sits (n - m)(d - 1) after (m, n)
         return np.arange(self.offsets[-1]) + (col - row) * (d - 1)
+
+    @cached_property
+    def _index(self):
+        return {l: i for i, l in enumerate(self.labels)}
 
     @cached_property
     def reps(self):
@@ -198,7 +201,7 @@ def enumerate_dual(spec, cutoff):
     keep = np.flatnonzero(brackets <= cutoff)
     keep = keep[np.argsort(brackets[keep], kind="stable")]
     return DualCatalog(spec=spec, cutoff=float(cutoff),
-                       labels=tuple(map(tuple, labels[keep].tolist())),
+                       labels=tuple(zip(*labels[keep].T.tolist())),
                        dims=dims[keep], lambda_sq=lambda_sq[keep])
 
 

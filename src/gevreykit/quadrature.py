@@ -194,17 +194,11 @@ def euler_to_su2(angles):
 
 def su2_to_euler(u):
     u = np.asarray(u)
-    a00 = abs(u[0, 0])
-    a10 = abs(u[1, 0])
-    beta = 2.0 * math.atan2(a10, a00)
-    if a00 > 1e-12:
-        ssum = -2.0 * np.angle(u[0, 0])
-    else:
-        ssum = 0.0
-    if a10 > 1e-12:
-        sdif = 2.0 * np.angle(u[1, 0])
-    else:
-        sdif = -ssum
+    beta = 2.0 * math.atan2(abs(u[1, 0]), abs(u[0, 0]))
+    # alpha + gamma and alpha - gamma each come from the phase of one
+    # entry; where that entry vanishes, any phase rebuilds it
+    ssum = -2.0 * np.angle(u[0, 0])
+    sdif = 2.0 * np.angle(u[1, 0])
     alpha = 0.5 * (ssum + sdif)
     gamma = 0.5 * (ssum - sdif)
     shift = alpha - (alpha % TWO_PI)
@@ -229,15 +223,16 @@ def euler_to_so3(angles):
 
 def so3_to_euler(r):
     r = np.asarray(r)
-    sb = math.hypot(r[0, 2], r[1, 2])
-    beta = math.atan2(sb, r[2, 2])
-    if sb > 1e-12:
-        alpha = math.atan2(r[1, 2], r[0, 2])
-        gamma = math.atan2(r[2, 1], -r[2, 0])
+    beta = math.atan2(math.hypot(r[0, 2], r[1, 2]), r[2, 2])
+    # alpha from the third column; gamma from the upper 2 x 2 block,
+    # which is (1 + cos beta) R(alpha + gamma) + (1 - cos beta) times a
+    # reflection by alpha - gamma: take the term that does not vanish, so
+    # the angles rebuild r near beta = 0 and pi as well
+    alpha = math.atan2(r[1, 2], r[0, 2])
+    if r[2, 2] >= 0:
+        gamma = math.atan2(r[1, 0] - r[0, 1], r[0, 0] + r[1, 1]) - alpha
     else:
-        # beta = 0 or pi: only one angle is determined, put it in alpha
-        alpha = math.atan2(r[1, 0], r[0, 0]) * (1.0 if r[2, 2] > 0 else -1.0)
-        gamma = 0.0
+        gamma = alpha - math.atan2(-(r[1, 0] + r[0, 1]), r[1, 1] - r[0, 0])
     return (alpha % TWO_PI, beta, gamma % TWO_PI)
 
 

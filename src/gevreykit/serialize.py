@@ -6,6 +6,8 @@ json.dumps writes them, CSV floats with 17 significant digits: bit-exact.
 """
 
 import csv
+import functools
+import gc
 import io
 import json
 import math
@@ -41,6 +43,23 @@ def _runs(sizes, budget):
     return zip([0] + cut, cut + [len(sizes)]) if len(sizes) else ()
 
 
+def _nogc(func):
+    """Run ``func`` with the cyclic GC paused, then restore the caller's
+    state.  The records json builds are acyclic and freed by reference
+    counting, so pausing only skips the collector's scans of them."""
+    @functools.wraps(func)
+    def paused(*args, **kwargs):
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return func(*args, **kwargs)
+        finally:
+            if was_enabled:
+                gc.enable()
+    return paused
+
+
+@_nogc
 def field_to_jsonl(coeffs):
     """One line per stored class: {"label": [...], "matrix": [[[re, im], ...]]}.
 
@@ -112,6 +131,7 @@ def _parse_run(catalog, lines):
     return pos, values
 
 
+@_nogc
 def field_from_jsonl(text, catalog):
     """Inverse of field_to_jsonl.  Blank lines are skipped and a repeated
     label keeps its last record.  A run of lines that _parse_run refuses

@@ -1,3 +1,4 @@
+import gc
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,16 @@ SOURCE = Path(__file__).resolve().parent.parent / "src" / "gevreykit"
 def quick_suite():
     """One shared run of the quick verification suite."""
     return run_suite(quick=True)
+
+
+@pytest.fixture(autouse=True)
+def gc_left_enabled():
+    """Fails any test after which Python's cyclic collector is disabled,
+    and turns it back on for the tests that follow."""
+    yield
+    if not gc.isenabled():
+        gc.enable()
+        pytest.fail("the test left the cyclic garbage collector disabled")
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -387,11 +387,28 @@ def test_config_values_take_the_declared_types(capsys, tmp_path):
         code, out, err = run_cli(capsys, argv + ["--config", str(cfg)])
         assert (code, out) == (2, ""), argv
         assert err.startswith("usage error") and name in err and "Traceback" not in err
-    cfg.write_text(json.dumps({"lemma": "series", "group": "su2", "cutoff": 10, "t": [1.5, "2"]}))
+    cfg.write_text(json.dumps({"lemma": "series", "group": "su2", "cutoff": 10, "t": [1.5, 2]}))
     code, out, _ = run_cli(capsys, ["probe", "--config", str(cfg)])
     assert code == 0
     assert out == run_cli(capsys, ["probe", "--lemma", "series", "--group", "su2",
                                    "--cutoff", "10", "--t", "1.5", "--t", "2"])[1]
+
+
+@pytest.mark.parametrize("name,bad", [
+    ("cutoff", True), ("cutoff", "3"), ("s", "1"), ("s", False), ("B", True), ("B", "1.0"),
+    ("t", [1.5, "2"]), ("t", [True]),
+])
+def test_float_config_values_must_be_json_numbers(capsys, tmp_path, name, bad):
+    cfg = tmp_path / "cfg.json"
+    body = {"group": "t1", "cutoff": 10, "s": 2, "B": 1, "t": [1.5]}
+    argv = ["synthesize", "--profile", "diagonal"] if name != "t" else [
+        "probe", "--lemma", "series"]
+    cfg.write_text(json.dumps(dict(body, **{name: bad})))
+    code, out, err = run_cli(capsys, argv + ["--config", str(cfg)])
+    assert (code, out) == (2, ""), bad
+    assert err.startswith("usage error") and "--" + name in err and "Traceback" not in err
+    cfg.write_text(json.dumps(body))
+    assert run_cli(capsys, argv + ["--config", str(cfg)])[0] == 0
 
 
 @pytest.mark.parametrize("name,argv", [

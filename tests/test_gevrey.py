@@ -12,6 +12,7 @@ from gevreykit.gevrey import (
     fourier_side_test,
     infimum_decay_bound,
     infimum_decay_grid,
+    log_l1_bounds,
     pinned_model,
     space_side_test,
     synthesize_gevrey,
@@ -151,3 +152,52 @@ def test_decay_fits_keep_log_k_past_the_double_range():
         assert model.K == math.inf
     data = json.loads(verdict_to_json(fourier_side_test(coeffs, 1.0, "R")))
     assert data["K"] == "inf"
+
+
+def _log_l1_bounds_scipy(catalog, hs, idx, powers):
+    """log_l1_bounds with one scipy.special.logsumexp call per power."""
+    from scipy.special import logsumexp
+
+    base = 1.5 * np.log(catalog.dims[idx]) + np.log(hs[idx])
+    moving = catalog.lambda_sq[idx] > 0.0
+    log_abs = 0.5 * np.log(catalog.lambda_sq[idx[moving]])
+    u, peaks = np.full(len(powers), -math.inf), np.full(len(powers), -1)
+    for i, p in enumerate(powers):
+        at, terms = (idx, base) if p == 0 else (idx[moving], base[moving] + p * log_abs)
+        if len(terms):
+            u[i], peaks[i] = logsumexp(terms), at[np.argmax(terms)]
+    return u, peaks
+
+
+# the power lists of space_side_test (2k) and of the dual seminorm (k, from 0)
+L1_POWERS = (2.0 * np.arange(1, 17), np.arange(61))
+
+
+@pytest.mark.parametrize("spec,cutoff", [
+    (T1, 1000.5), (GroupSpec("torus", 2), 30.5), (GroupSpec("su2"), 16.1), (GroupSpec("so3"), 16.1),
+])
+def test_log_l1_bounds_match_scipy_logsumexp_bit_for_bit(spec, cutoff):
+    cat = enumerate_dual(spec, cutoff)
+    for s0 in (0.5, 1.0, 2.0, 3.0):
+        for profile in ("diagonal", "random_phase"):
+            hs = synthesize_gevrey(cat, s0, 1.0, profile, seed=7).hs_norms()
+            idx = np.flatnonzero(hs > 1e-290)
+            for powers in L1_POWERS:
+                got = log_l1_bounds(cat, hs, idx, powers)
+                want = _log_l1_bounds_scipy(cat, hs, idx, powers)
+                assert got[0].tobytes() == want[0].tobytes(), (spec, s0, profile)
+                assert got[1].tolist() == want[1].tolist()
+
+
+def test_log_l1_bounds_match_scipy_on_ties_and_single_terms():
+    cat = enumerate_dual(GroupSpec("torus", 2), 6.5)
+    rng = np.random.default_rng(3)
+    powers = np.array([0.0, 1.0, 2.0, 7.5])
+    # every class ties at p = 0; classes on one circle tie at every p
+    for hs in (np.ones(len(cat)), np.exp(-cat.lambda_sq), rng.uniform(0.5, 2.0, len(cat))):
+        for idx in (np.arange(len(cat)), np.array([0]), np.array([3]), np.array([1, 2, 3, 4]),
+                    np.array([], dtype=int)):
+            got = log_l1_bounds(cat, hs, idx, powers)
+            want = _log_l1_bounds_scipy(cat, hs, idx, powers)
+            assert got[0].tobytes() == want[0].tobytes(), idx
+            assert got[1].tolist() == want[1].tolist()

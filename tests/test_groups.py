@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -162,3 +163,24 @@ def test_transposed_is_the_blockwise_transpose(spec, cutoff):
     for i, d in enumerate(cat.dims.tolist()):
         block = positions[cat.offsets[i] : cat.offsets[i + 1]].reshape(d, d)
         assert np.array_equal(t[block], block.T)
+
+
+@pytest.mark.parametrize("spec,cutoff", [
+    (GroupSpec("torus", 1), 40.5), (GroupSpec("torus", 2), 12.5),
+    (GroupSpec("su2"), 16.1), (GroupSpec("so3"), 16.1),
+])
+def test_catalog_labels_are_tuples_of_python_ints(spec, cutoff):
+    cat = enumerate_dual(spec, cutoff)
+    # every candidate label, ordered by bracket, then lexicographically
+    top = int(2 * cutoff) if spec.family == "su2" else int(cutoff)
+    if spec.family == "torus":
+        cands = itertools.product(range(-top, top + 1), repeat=spec.torus_dim)
+        lsq = lambda k: float(sum(x * x for x in k))
+    else:
+        cands = [(n,) for n in range(top + 1)]
+        j = (lambda k: k[0] / 2.0) if spec.family == "su2" else (lambda k: k[0] * 1.0)
+        lsq = lambda k: j(k) * (j(k) + 1.0)
+    want = sorted((math.sqrt(1.0 + lsq(k)), k) for k in cands if math.sqrt(1.0 + lsq(k)) <= cutoff)
+    assert cat.labels == tuple(k for _, k in want)
+    assert {type(label) for label in cat.labels} == {tuple}
+    assert {type(x) for label in cat.labels for x in label} == {int}

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from gevreykit.calculus import vector_field_symbol
@@ -228,3 +230,39 @@ def test_one_parity_stack_is_the_full_stacks_entries_bit_for_bit(monkeypatch):
     even = quadrature.wigner_d_cached(4, betas, (0,))
     assert sorted(even) == [0, 2, 4] and quadrature.wigner_d_cached(4, betas, (0,)) is even
     assert sorted(quadrature.wigner_d_cached(4, betas)) == [0, 1, 2, 3, 4]
+
+
+def _betas():
+    """beta anywhere in [0, pi], with 0, pi and the last 1e-13 at each end drawn often."""
+    edge = st.floats(0.0, 1e-13)
+    return st.one_of(st.sampled_from([0.0, math.pi]), edge, edge.map(lambda e: math.pi - e),
+                     st.floats(0.0, math.pi))
+
+
+def _elements(period):
+    angle = st.one_of(st.sampled_from([0.0, math.pi / 2]), st.floats(0.0, period))
+    return st.tuples(angle, _betas(), angle)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_elements(4 * math.pi), _elements(2 * math.pi))
+@example((0.3, math.pi, 0.1), (0.3, math.pi, 0.1))
+@example((0.3, math.pi - 1e-13, 0.1), (0.3, 1e-13, 0.1))
+def test_euler_round_trips_reach_beta_0_and_pi(g, h):
+    u = euler_to_su2(g)
+    assert np.abs(euler_to_su2(su2_to_euler(u)) - u).max() < 1e-12
+    r = euler_to_so3(h)
+    assert np.abs(euler_to_so3(so3_to_euler(r)) - r).max() < 1e-12
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([("su2", (3,)), ("su2", (4,)), ("so3", (1,)), ("so3", (2,))]),
+       _elements(2 * math.pi), _elements(2 * math.pi))
+@example(("so3", (1,)), (0.0, math.pi / 2, 0.0), (0.0, math.pi / 2, 0.0))
+@example(("so3", (2,)), (0.3, math.pi, 0.1), (0.0, 1e-13, 0.2))
+def test_homomorphism_reaches_beta_0_and_pi(rep, g1, g2):
+    spec = GroupSpec(rep[0])
+    rep = enumerate_dual(spec, 10.0).lookup(rep[1])
+    lhs = rep_matrix(spec, rep, compose_euler(spec, g1, g2))
+    rhs = rep_matrix(spec, rep, g1) @ rep_matrix(spec, rep, g2)
+    assert np.abs(lhs - rhs).max() < 1e-10

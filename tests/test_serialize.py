@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 from types import SimpleNamespace
@@ -344,3 +345,28 @@ def test_field_jsonl_codec_makes_no_json_call_per_record(monkeypatch):
         # the reader cuts runs of about 32 KB of text
         assert 1 <= calls["loads"] <= len(text) // (1 << 15) + 1
         assert g.data.tobytes() == f.data.tobytes()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_jsonl_codec_leaves_the_gc_as_it_found_it(enabled):
+    cat = enumerate_dual(GroupSpec("su2"), 5.0)
+    field = _random_field(cat, np.random.default_rng(2))
+    text = field_to_jsonl(field)
+    bad = CoefficientField(cat)
+    bad[(1,)] = np.full((2, 2), np.nan)
+    calls = ((field_to_jsonl, (field,), None),
+             (field_from_jsonl, (text, cat), None),
+             (field_from_jsonl, (text + '{"label": [1], "matrix": []}\n', cat), "line"),
+             (field_to_jsonl, (bad,), "not finite"))
+    was = gc.isenabled()
+    try:
+        for func, args, refusal in calls:
+            (gc.enable if enabled else gc.disable)()
+            if refusal is None:
+                func(*args)
+            else:
+                with pytest.raises(DataError, match=refusal):
+                    func(*args)
+            assert gc.isenabled() is enabled, func.__name__
+    finally:
+        (gc.enable if was else gc.disable)()
