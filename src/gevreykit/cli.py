@@ -132,7 +132,7 @@ def _config_value(name, val):
             raise TypeError("true or false is expected")
         else:
             val = typed(val)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError("config value %r for %s: %s" % (val, flags[0], exc))
     choices = kw.get("choices")
     if choices is not None and val not in choices:

@@ -225,9 +225,9 @@ def so3_to_euler(r):
     r = np.asarray(r)
     beta = math.atan2(math.hypot(r[0, 2], r[1, 2]), r[2, 2])
     # alpha from the third column; gamma from the upper 2 x 2 block,
-    # which is (1 + cos beta) R(alpha + gamma) + (1 - cos beta) times a
-    # reflection by alpha - gamma: take the term that does not vanish, so
-    # the angles rebuild r near beta = 0 and pi as well
+    # which is (1 + cos beta) / 2 times the rotation by alpha + gamma plus
+    # (1 - cos beta) / 2 times a reflection by alpha - gamma: read the term
+    # that does not vanish, so the angles rebuild r near beta = 0 and pi
     alpha = math.atan2(r[1, 2], r[0, 2])
     if r[2, 2] >= 0:
         gamma = math.atan2(r[1, 0] - r[0, 1], r[0, 0] + r[1, 1]) - alpha

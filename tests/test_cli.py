@@ -396,7 +396,7 @@ def test_config_values_take_the_declared_types(capsys, tmp_path):
 
 @pytest.mark.parametrize("name,bad", [
     ("cutoff", True), ("cutoff", "3"), ("s", "1"), ("s", False), ("B", True), ("B", "1.0"),
-    ("t", [1.5, "2"]), ("t", [True]),
+    ("t", [1.5, "2"]), ("t", [True]), ("cutoff", 10 ** 400),
 ])
 def test_float_config_values_must_be_json_numbers(capsys, tmp_path, name, bad):
     cfg = tmp_path / "cfg.json"
