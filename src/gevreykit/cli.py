@@ -275,7 +275,7 @@ def _probe_hy(args):
     for _ in range(trials):
         samples = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
         coeffs = forward_transform(grid, samples, cat)
-        gaps = hausdorff_young_gap(grid, samples, coeffs)
+        gaps = hausdorff_young_gap(grid, samples, coeffs, inverse_on_grid(coeffs, grid))
         worst = [min(w, g[1] - g[0]) for w, g in zip(worst, gaps)]
     return _emit(args, json.dumps({"trials": trials, "smallest_slack": worst}) + "\n")
 

@@ -21,6 +21,7 @@ from .fourier import CoefficientField, _require_same_catalog, inverse_transform
 from .gevrey import (
     HS_FLOOR,
     _bracket_rates,
+    _check_positive,
     _ls_line,
     _open_verdict,
     _tertile_slopes,
@@ -37,6 +38,7 @@ BEURLING_DUAL_RATIO = 1.05
 PAIR_TAIL_REL = 1e-8
 SERIES_TAIL_REL = 1e-6
 CONTINUITY_K_CAP = 60
+PERFECTNESS_B_GRID = (0.25, 0.5)
 
 
 def growth_sequence(catalog, s, B, profile="diagonal", seed=0):
@@ -90,8 +92,7 @@ def ultra_membership_test(seq, s, mode):
 
 def alpha_dual_series_probe(seq, s, B):
     """Partial sums of sum_xi e^{-B <xi>^(1/s)} ||v_xi||_HS in catalog order."""
-    if B <= 0:
-        raise DomainError("B must be positive")
+    _check_positive(s=s, B=B)
     hs = seq.hs_norms()[seq.present]
     with np.errstate(divide="ignore"):
         return np.cumsum(np.exp(np.log(hs) - B * seq.catalog.brackets[seq.present] ** (1.0 / s)))
@@ -106,29 +107,29 @@ class PairingDiagnostic:
 
 
 def _pairing_terms(seq, coeffs):
-    """d_xi Tr(phi_hat(xi) v_xi) and the bracket of every class either holds."""
+    """d_xi Tr(phi_hat(xi) v_xi) on every class either holds, and their Cauchy check."""
     _require_same_catalog(seq, coeffs)
     cat = seq.catalog
     keep = seq.present | coeffs.present
     # Tr(a b) sums a_mn b_nm
     terms = cat.dims * np.add.reduceat(coeffs.data * seq.data[cat.transposed], cat.offsets[:-1])
-    return terms[keep], cat.brackets[keep]
+    terms = terms[keep]
+    return terms, PairingDiagnostic(*_tail_share(np.abs(terms), cat.brackets[keep]))
 
 
 def _tail_share(mags, brackets):
-    """Cauchy check over the last decade of brackets: the total of
-    ``mags``, its part on brackets >= max/10, that part's share of the
-    total, and the bracket where the decade starts; all 0 on no brackets."""
+    """Cauchy check over the last decade of brackets: the total of ``mags``,
+    its part on brackets >= max/10, that part's share of the total (NaN on
+    a NaN total), and where the decade starts; all 0 on no brackets."""
     total = float(mags.sum())
     cut = brackets.max(initial=0.0) / 10.0
     tail = float(mags[brackets >= cut].sum())
-    return total, tail, tail / total if total > 0 else 0.0, cut
+    return total, tail, tail / total if total else 0.0, cut
 
 
 def pairing_diagnostic(seq, coeffs):
     """Cauchy check of the pairing terms over the last decade of brackets."""
-    terms, brackets = _pairing_terms(seq, coeffs)
-    return PairingDiagnostic(*_tail_share(np.abs(terms), brackets))
+    return _pairing_terms(seq, coeffs)[1]
 
 
 def pair(seq, coeffs):
@@ -139,7 +140,7 @@ def pair(seq, coeffs):
     more than a 1e-8 relative share of it.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        diag = pairing_diagnostic(seq, coeffs)
+        terms, diag = _pairing_terms(seq, coeffs)
     if not math.isfinite(diag.total_abs):
         raise IllPairedError("pairing terms are not finite (absolute mass %r)"
                              % diag.total_abs, diagnostic=diag.__dict__)
@@ -149,50 +150,49 @@ def pair(seq, coeffs):
             % (diag.tail_fraction, diag.tail_bracket, PAIR_TAIL_REL),
             diagnostic=diag.__dict__,
         )
-    terms, _ = _pairing_terms(seq, coeffs)
     return complex(tree_sum(terms)) if len(terms) else 0.0 + 0.0j
 
 
-def _seminorm_log(coeffs, epsilon, s, k_cap):
-    """log of sup_k eps^k (k!)^(-s) * l1-bound of ||(-L)^(k/2) phi||_inf."""
-    hs = coeffs.hs_norms()
-    ks = np.arange(k_cap + 1)
-    nk, _ = log_l1_bounds(coeffs.catalog, hs, np.flatnonzero(hs > HS_FLOOR), ks)
-    return float(np.max(ks * math.log(epsilon) - s * gammaln(ks + 1.0) + nk))
+def continuity_modulus(seq, s, epsilon_grid, battery):
+    """Smallest constants C_eps with |v(phi)| <= C_eps * seminorm_eps(phi), where
+    seminorm_eps(phi) = sup_k eps^k (k!)^(-s) * l1-bound of ||(-L)^(k/2) phi||_inf.
 
-
-def continuity_modulus(seq, s, epsilon_grid, battery, k_cap=CONTINUITY_K_CAP):
-    """Smallest constants C_eps with |v(phi)| <= C_eps * seminorm_eps(phi).
-
-    The sup over derivative orders is capped at k_cap (reported); the
-    battery is a caller-supplied list of coefficient fields.
+    k is capped at CONTINUITY_K_CAP (reported); the battery is a
+    caller-supplied list of coefficient fields.
     """
+    _check_positive(s=s)
+    ks = np.arange(CONTINUITY_K_CAP + 1)
+    k_weight = s * gammaln(ks + 1.0)
+    paired = []
+    for phi in battery:
+        value = abs(pair(seq, phi))
+        if value != 0.0:
+            hs = phi.hs_norms()
+            nk, _ = log_l1_bounds(phi.catalog, hs, np.flatnonzero(hs > HS_FLOOR), ks)
+            paired.append((math.log(value), nk))
     rows = []
     for eps in epsilon_grid:
-        if eps <= 0:
-            raise DomainError("epsilon must be positive")
+        _check_positive(epsilon=eps)
         worst = 0.0
-        for phi in battery:
-            value = abs(pair(seq, phi))
-            if value == 0.0:
-                continue
-            denom_log = _seminorm_log(phi, eps, s, k_cap)
-            worst = max(worst, math.exp(math.log(value) - denom_log))
+        for log_value, nk in paired:
+            denom_log = float(np.max(ks * math.log(eps) - k_weight + nk))
+            worst = max(worst, math.exp(log_value - denom_log))
         rows.append((float(eps), worst))
-    return {"curve": rows, "k_cap": k_cap}
+    return {"curve": rows, "k_cap": CONTINUITY_K_CAP}
 
 
-def perfectness_roundtrip(coeffs, s, b_grid=(0.25, 0.5), points=None):
+def perfectness_roundtrip(coeffs, s, points=None):
     """Second-dual membership plus re-synthesis identity.
 
     Checks that sum_xi e^{B' <xi>^(1/s)} ||w_xi|| is Cauchy (last-decade
-    tail below 1e-6 relative) for every B' in the grid, then re-sums the
-    inversion series independently at the given points and compares with
-    inverse_transform.
+    tail below 1e-6 relative) for every B' in PERFECTNESS_B_GRID, then
+    re-sums the inversion series independently at the given points and
+    compares with inverse_transform.  s must be positive and finite.
     """
+    _check_positive(s=s)
     brackets, logs, _ = bracket_profile(coeffs)
     series = {}
-    for bp in b_grid:
+    for bp in PERFECTNESS_B_GRID:
         total, _, frac, _ = _tail_share(np.exp(logs + bp * brackets ** (1.0 / s)), brackets)
         series[bp] = {"total": total, "tail_fraction": frac,
                       "converged": frac <= SERIES_TAIL_REL}

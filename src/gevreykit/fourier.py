@@ -315,17 +315,15 @@ def lp_norm(coeffs, p):
     return float(tree_sum(weights * hs**p)) ** (1.0 / p)
 
 
-def hausdorff_young_gap(grid, samples, coeffs):
-    """Both sides of the two Hausdorff-Young inequalities.
-
+def hausdorff_young_gap(grid, samples, coeffs, synth):
+    """Both sides of the two Hausdorff-Young inequalities, from f sampled on
+    the grid, f_hat ~ coeffs and the caller's synth = inverse_on_grid(coeffs, grid).
     Returns ((||f_hat||_{l inf}, ||f||_{L1}),
-             (max |F^{-1} coeffs| on the grid, ||coeffs||_{l1})).
+             (max |synth| on the grid, ||coeffs||_{l1})).
     The caller asserts first <= second in each pair.
     """
-    samples = np.asarray(samples, dtype=complex)
     l1_f = float(tree_sum(np.abs(samples) * grid.weights()).real)
     linf_dual = lp_norm(coeffs, math.inf)
-    synth = inverse_on_grid(coeffs, grid)
     sup_f = float(np.abs(synth).max())
     l1_dual = lp_norm(coeffs, 1)
     return (linf_dual, l1_f), (sup_f, l1_dual)

@@ -104,11 +104,16 @@ def profile_field(catalog, log_hs, profile="diagonal", seed=0):
     return out
 
 
+def _check_positive(**values):
+    """Refuse any of the named values that is not positive and finite."""
+    for name, value in values.items():
+        if not 0.0 < value < math.inf:
+            raise DomainError("%s must be positive and finite, got %r" % (name, value))
+
+
 def _bracket_rates(catalog, s, B):
-    """B <xi>^(1/s) per class in catalog order, inf where the power
-    overflows.  s and B must be positive and finite."""
-    if not (0.0 < s < math.inf and 0.0 < B < math.inf):
-        raise DomainError("s and B must be positive and finite, got s=%r, B=%r" % (s, B))
+    """B <xi>^(1/s) per class in catalog order, inf where the power overflows."""
+    _check_positive(s=s, B=B)
     rates = []
     for b in catalog.brackets.tolist():
         try:
@@ -208,8 +213,7 @@ def _verdict(mode, s, margin, witness=None, **fields):
 def _check_order(catalog, s):
     """Refuse an order s that is not positive and finite, or so small
     that the slope fits' <xi>^(2/s), summed over the catalog, overflow."""
-    if not 0.0 < s < math.inf:
-        raise DomainError("s must be positive and finite, got %r" % (s,))
+    _check_positive(s=s)
     if 2.0 * math.log(catalog.brackets.max()) / s + math.log(len(catalog)) > LOG_DBL_MAX:
         raise DomainError("s = %r is too small for this catalog: <xi>^(2/s) overflows" % (s,))
 

@@ -6,12 +6,14 @@ import pytest
 from gevreykit.verification import run_suite
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "gevreykit"
+QUICK_RESULTS = pytest.StashKey[list]()
 
 
 @pytest.fixture(scope="session")
-def quick_suite():
+def quick_suite(request):
     """One shared run of the quick verification suite."""
-    return run_suite(quick=True)
+    results = request.config.stash[QUICK_RESULTS] = run_suite(quick=True)
+    return results
 
 
 @pytest.fixture(autouse=True)
@@ -24,9 +26,15 @@ def gc_left_enabled():
         pytest.fail("the test left the cyclic garbage collector disabled")
 
 
-def pytest_terminal_summary(terminalreporter):
-    """One line of src/gevreykit line counts per module and in total;
-    it reports only and gates nothing."""
+def pytest_terminal_summary(terminalreporter, config):
+    """One line of src/gevreykit line counts per module and in total and,
+    when the shared quick suite ran, one line of its seconds per check;
+    they report only and gate nothing."""
     counts = {p.stem: len(p.read_text().splitlines()) for p in sorted(SOURCE.glob("*.py"))}
     terminalreporter.write_line("src/gevreykit lines: %s; total %d" % (
         ", ".join("%s %d" % kv for kv in counts.items()), sum(counts.values())))
+    results = config.stash.get(QUICK_RESULTS, None)
+    if results is not None:
+        terminalreporter.write_line("quick suite seconds: %s; total %.1f" % (
+            ", ".join("%s %.1f" % (r.name, r.seconds) for r in results),
+            sum(r.seconds for r in results)))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gevreykit import duality
 from gevreykit.duality import (
     alpha_dual_series_probe,
     continuity_modulus,
@@ -15,7 +16,7 @@ from gevreykit.duality import (
 )
 from gevreykit.errors import DomainError, IllPairedError
 from gevreykit.fourier import CoefficientField, inverse_transform
-from gevreykit.gevrey import synthesize_gevrey
+from gevreykit.gevrey import log_l1_bounds, synthesize_gevrey
 from gevreykit.groups import GroupSpec, enumerate_dual
 from gevreykit.quadrature import identity_element
 
@@ -144,6 +145,58 @@ def test_continuity_modulus_for_delta():
         assert 0.0 < c < 100.0
 
 
+def test_continuity_modulus_pairs_and_bounds_each_field_once(monkeypatch):
+    cat = enumerate_dual(T1, 2000.0)
+    battery = [synthesize_gevrey(cat, 1.0, b, "diagonal") for b in (0.5, 1.0, 2.0)]
+    battery.insert(1, CoefficientField(cat))
+    calls = {"pair": [], "log_l1_bounds": 0}
+
+    def counting_pair(seq, phi):
+        calls["pair"].append(phi)
+        return pair(seq, phi)
+
+    def counting_bounds(*args):
+        calls["log_l1_bounds"] += 1
+        return log_l1_bounds(*args)
+
+    monkeypatch.setattr(duality, "pair", counting_pair)
+    monkeypatch.setattr(duality, "log_l1_bounds", counting_bounds)
+    eps_grid = (0.25, 0.5, 1.0, 2.0)
+    # the constants of the per-epsilon loop this replaced, bit for bit
+    expected = {
+        "delta": ["0x1.0000000000001p+0"] * 3 + ["0x1.290dea2b37eaap-2"],
+        "growth": ["0x1.e89e79ac9005bp+0", "0x1.e89e79ac9005bp+0",
+                   "0x1.c496d85f12a6fp+0", "0x1.0695cd56c9b80p-1"],
+    }
+    for name, seq, fields in (("delta", delta_sequence(cat), battery),
+                              ("growth", growth_sequence(cat, 2.0, 0.5), battery[2:])):
+        calls["pair"].clear()
+        calls["log_l1_bounds"] = 0
+        out = continuity_modulus(seq, 1.0, eps_grid, fields)
+        assert [(e, c.hex()) for e, c in out["curve"]] == list(zip(eps_grid, expected[name]))
+        assert len(calls["pair"]) == len(fields)
+        assert all(a is b for a, b in zip(calls["pair"], fields))
+        # the zero field pairs to 0 and needs no seminorm
+        assert calls["log_l1_bounds"] == len(fields) - (name == "delta")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_duality_refuses_non_positive_or_non_finite_parameters(bad):
+    cat = enumerate_dual(T1, 200.0)
+    delta = delta_sequence(cat)
+    phi = synthesize_gevrey(cat, 1.0, 1.0, "diagonal")
+    calls = (
+        lambda: continuity_modulus(delta, bad, (0.5,), [phi]),
+        lambda: continuity_modulus(delta, 1.0, (0.5, bad), [phi]),
+        lambda: perfectness_roundtrip(phi, bad),
+        lambda: alpha_dual_series_probe(delta, bad, 1.0),
+        lambda: alpha_dual_series_probe(delta, 2.0, bad),
+    )
+    for call in calls:
+        with pytest.raises(DomainError, match="must be positive and finite"):
+            call()
+
+
 def test_scaled_sequence_keeps_verdict():
     cat = enumerate_dual(T1, 2000.0)
     seq = growth_sequence(cat, 2.0, 1.0)
@@ -156,7 +209,7 @@ def test_scaled_sequence_keeps_verdict():
 def test_perfectness_roundtrip():
     cat = enumerate_dual(T1, 14000.0)
     coeffs = synthesize_gevrey(cat, 2.0, 1.0, "diagonal")
-    out = perfectness_roundtrip(coeffs, 2.0, b_grid=(0.25, 0.5))
+    out = perfectness_roundtrip(coeffs, 2.0)
     assert out["converged"]
     assert out["resynthesis_mismatch"] <= 1e-10
     assert out["passed"]
@@ -185,3 +238,9 @@ def test_pair_refuses_non_finite_terms():
         big[rep.label] = np.array([[1e300 + 0j]])
     with pytest.raises(IllPairedError, match="not finite"):
         pair(big, big)
+    # a NaN mass has a NaN tail share, not a share of 0
+    nan = CoefficientField(cat)
+    nan[cat.labels[0]] = np.array([[math.nan + 0j]])
+    assert math.isnan(pairing_diagnostic(nan, big).tail_fraction)
+    with pytest.raises(IllPairedError, match="not finite"):
+        pair(nan, big)

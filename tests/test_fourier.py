@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gevreykit import fourier, groups, quadrature
+from gevreykit import fourier, groups, quadrature, verification
 from gevreykit.duality import delta_sequence
 from gevreykit.errors import ContractViolation, DomainError
 from gevreykit.fourier import (
@@ -140,10 +140,23 @@ def test_hausdorff_young_both_directions(spec, cutoff):
         samples = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
         coeffs = forward_transform(grid, samples, cat)
         (linf_dual, l1_group), (sup_group, l1_dual) = hausdorff_young_gap(
-            grid, samples, coeffs
+            grid, samples, coeffs, inverse_on_grid(coeffs, grid)
         )
         assert linf_dual <= l1_group + 1e-9
         assert sup_group <= l1_dual + 1e-9
+
+
+def test_hausdorff_young_check_synthesizes_each_trial_once(monkeypatch):
+    calls = []
+
+    def counting(coeffs, grid):
+        calls.append(grid.spec)
+        # zeros stand in for the synthesis: the test counts calls, not slacks
+        return np.zeros(grid.shape, dtype=complex)
+
+    monkeypatch.setattr(fourier, "inverse_on_grid", counting)
+    verification.check_hausdorff_young()
+    assert calls == [spec for _, spec, _ in verification._families() for _ in range(50)]
 
 
 def test_matrix_norm_slacks_nonnegative():
