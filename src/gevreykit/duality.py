@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DomainError, IllPairedError
 from .fourier import CoefficientField, _require_same_catalog, inverse_transform
@@ -160,6 +159,7 @@ def continuity_modulus(seq, s, epsilon_grid, battery):
     k is capped at CONTINUITY_K_CAP (reported); the battery is a
     caller-supplied list of coefficient fields.
     """
+    from scipy.special import gammaln  # on use: loading scipy.special costs a start-up 0.3 s
     _check_positive(s=s)
     ks = np.arange(CONTINUITY_K_CAP + 1)
     k_weight = s * gammaln(ks + 1.0)

@@ -304,7 +304,7 @@ def lp_norm(coeffs, p):
 
     p = infinity uses sup over classes of d^(-1/2) ||f_hat||_HS.
     """
-    if p != math.inf and p < 1:
+    if not (p == math.inf or p >= 1):
         raise DomainError("p must be >= 1 or infinity")
     dims = coeffs.catalog.dims.astype(float)
     hs = coeffs.hs_norms()
@@ -336,10 +336,10 @@ def hausdorff_young_gap(grid, samples, coeffs, synth):
 def matrix_lp_norm(a, p):
     """Entrywise l^p norm of a matrix; p=2 is the Hilbert-Schmidt norm."""
     a = np.asarray(a)
+    if not (p == math.inf or p >= 1):
+        raise DomainError("p must be >= 1 or infinity")
     if p == math.inf:
         return float(np.abs(a).max())
-    if p < 1:
-        raise DomainError("p must be >= 1 or infinity")
     return float(np.sum(np.abs(a) ** p) ** (1.0 / p))
 
 
@@ -369,12 +369,12 @@ def matrix_norm_slacks(a, p, q):
     """
     a = np.asarray(a)
     d = a.shape[0]
+    np_ = matrix_lp_norm(a, p)
+    nq = matrix_lp_norm(a, q)
     inv_p = 0.0 if p == math.inf else 1.0 / p
     inv_q = 0.0 if q == math.inf else 1.0 / q
     if not inv_p > inv_q:
         raise DomainError("need p < q")
-    np_ = matrix_lp_norm(a, p)
-    nq = matrix_lp_norm(a, q)
     first = d ** (2.0 * (inv_p - inv_q)) * nq - np_
     second = d ** (2.0 * inv_q) * np_ - nq
     return first, second

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DomainError, InsufficientDataError
 from .fourier import CoefficientField, diagonal_at, ranges
@@ -198,6 +197,7 @@ def _pinned(brackets, logs, s):
 
 def pinned_model(coeffs, s):
     """DecayModel with s pinned, B and K refitted on the full profile."""
+    _check_positive(s=s)
     brackets, logs, _ = bracket_profile(coeffs)
     return _pinned(brackets, logs, s)
 
@@ -329,6 +329,7 @@ def space_side_test(coeffs, s, mode="roumieu"):
     Values of k dominated by the truncation edge are excluded; if too few
     remain the spectrum cannot support the factorial scale: a fail.
     """
+    from scipy.special import gammaln  # on use: loading scipy.special costs a start-up 0.3 s
     mode, hs, vacuous = _open_verdict(coeffs, s, mode)
     if vacuous is not None:
         return vacuous
@@ -375,13 +376,13 @@ def cross_check(coeffs, s, mode):
 
 def infimum_decay_bound(r, s):
     """Closed form of inf over x > 0 of x^(sx) r^(-x), namely e^(-(s/e) r^(1/s))."""
-    if r <= 0 or s <= 0:
-        raise DomainError("r and s must be positive")
+    _check_positive(r=r, s=s)
     return math.exp(-(s / math.e) * r ** (1.0 / s))
 
 
 def infimum_decay_grid(r, s, points=200001):
     """Dense-grid minimization of x^(sx) r^(-x); oracle for the closed form."""
+    _check_positive(r=r, s=s)
     x_hi = 10.0 * max(1.0, r ** (1.0 / s))
     x = np.linspace(x_hi / points, x_hi, points)
     vals = s * x * np.log(x) - x * math.log(r)

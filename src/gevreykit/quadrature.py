@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import groups
 from .errors import DomainError, ResourceError
@@ -49,27 +48,26 @@ def tree_sum(values):
 # Wigner little-d matrices
 
 
-def _d_seed(two_j, two_m, two_n, cb, sb):
-    """d^j_{mn} at j = max(|m|, |n|), vectorized over the beta nodes.
-
-    cb, sb are cos(beta/2) and sin(beta/2).
+def _d_seeds(two_ms, cb, sb):
+    """d^j_{mn} at j = max(|m|, |n|) for every pair of 2m, 2n in two_ms, row-major
+    on the last axis; cb, sb are cos(beta/2), sin(beta/2).  Each is exp(lc) cb^p
+    (+-sb)^q, lc = (ln(2j)! - ln p! - ln q!) / 2, where (p, q, sign) is (j+n, j-n, -)
+    on m = j, (j-n, j+n, +) on m = -j, (j+m, j-m, +) on n = j and (j-m, j+m, -) on
+    n = -j, the first border that holds.
     """
-    j = two_j / 2.0
-    m = two_m / 2.0
-    n = two_n / 2.0
-    if two_m == two_j:
-        lc = 0.5 * (gammaln(two_j + 1) - gammaln(j + n + 1) - gammaln(j - n + 1))
-        return np.exp(lc) * cb ** (j + n) * (-sb) ** (j - n)
-    if two_m == -two_j:
-        lc = 0.5 * (gammaln(two_j + 1) - gammaln(j - n + 1) - gammaln(j + n + 1))
-        return np.exp(lc) * cb ** (j - n) * sb ** (j + n)
-    if two_n == two_j:
-        lc = 0.5 * (gammaln(two_j + 1) - gammaln(j + m + 1) - gammaln(j - m + 1))
-        return np.exp(lc) * cb ** (j + m) * sb ** (j - m)
-    if two_n == -two_j:
-        lc = 0.5 * (gammaln(two_j + 1) - gammaln(j - m + 1) - gammaln(j + m + 1))
-        return np.exp(lc) * cb ** (j - m) * (-sb) ** (j + m)
-    raise DomainError("seed requires |m| = j or |n| = j")
+    from scipy.special import gammaln  # on use: loading scipy.special costs a start-up 0.3 s
+    tm, tn = (a.ravel() for a in np.meshgrid(*[np.array(two_ms, int)] * 2, indexing="ij"))
+    two_j = np.maximum(abs(tm), abs(tn))
+    on_m = abs(tm) == two_j
+    up = np.where(on_m, tm, tn) == two_j  # the border is m = j or n = j
+    p = (two_j + np.where(up, 1, -1) * np.where(on_m, tn, tm)) // 2
+    q = two_j - p
+    lc = 0.5 * (gammaln(two_j + 1) - gammaln(p + 1) - gammaln(q + 1))
+    # a scalar exponent per power keeps numpy's x ** k fast paths, and -sin(beta/2)
+    # is raised on its own: a vectorised pow of -x can differ from x in the last bit
+    ks = range(int(two_j.max(initial=0)) + 1)
+    cos_pow, sin_pow, neg_pow = (np.stack([x ** float(k) for k in ks], -1) for x in (cb, sb, -sb))
+    return np.exp(lc) * cos_pow[..., p] * np.where(up == on_m, neg_pow[..., q], sin_pow[..., q])
 
 
 def d_stack_entries(two_jmax):
@@ -80,6 +78,9 @@ def d_stack_entries(two_jmax):
 def wigner_d_all(two_jmax, beta, parities=(0, 1)):
     """Little-d matrices d^j(beta) for 2j = 0, 1, ..., two_jmax of the given parities.
 
+    Each (m, n) starts from its closed-form seed at j = max(|m|, |n|), one _d_seeds
+    pass per parity, and a three-term recursion steps its 2j by 2: parities never mix.
+
     Parameters
     ----------
     two_jmax : int
@@ -87,7 +88,7 @@ def wigner_d_all(two_jmax, beta, parities=(0, 1)):
     beta : array_like
         Angles in [0, pi], any shape; the matrices are vectorized over it.
     parities : tuple of 0 and 1
-        Parities of 2j to build; the recursion steps 2j by 2, so they never mix.
+        Parities of 2j to build.
 
     Returns
     -------
@@ -101,18 +102,16 @@ def wigner_d_all(two_jmax, beta, parities=(0, 1)):
     if entries > groups.FIELD_ENTRY_BUDGET:
         raise ResourceError("a little-d stack up to 2j = %d holds %d entries, more than the %d "
                             "allowed" % (two_jmax, entries, groups.FIELD_ENTRY_BUDGET))
-    cosb = np.cos(beta)
-    cb = np.cos(beta / 2.0)
-    sb = np.sin(beta / 2.0)
+    cosb, cb, sb = np.cos(beta), np.cos(beta / 2.0), np.sin(beta / 2.0)
     out = {two_j: np.zeros(beta.shape + (two_j + 1, two_j + 1))
            for two_j in range(two_jmax + 1) if two_j % 2 in parities}
     for parity in parities:
         ms = range(-two_jmax + ((two_jmax - parity) % 2), two_jmax + 1, 2)
-        for two_m, two_n in [(tm, tn) for tm in ms for tn in ms]:
+        seeds = _d_seeds(ms, cb, sb)
+        for k, (two_m, two_n) in enumerate([(tm, tn) for tm in ms for tn in ms]):
             two_j = max(abs(two_m), abs(two_n))
             m, n = two_m / 2.0, two_n / 2.0
-            prev = np.zeros_like(beta)
-            cur = _d_seed(two_j, two_m, two_n, cb, sb)
+            prev, cur = np.zeros_like(beta), seeds[..., k]
             while True:
                 out[two_j][..., (two_j - two_m) // 2, (two_j - two_n) // 2] = cur
                 if two_j + 2 > two_jmax:

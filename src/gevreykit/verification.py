@@ -10,7 +10,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import sph_harm_y
 
 from .groups import (
     GroupSpec,
@@ -271,6 +270,7 @@ def check_perfectness():
 
 @_timed
 def check_sphere():
+    from scipy.special import sph_harm_y  # on use: loading scipy.special costs a start-up 0.3 s
     rng = np.random.default_rng(600)
     spec = GroupSpec("so3")
     lmax = 10

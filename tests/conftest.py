@@ -7,6 +7,7 @@ from gevreykit.verification import run_suite
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "gevreykit"
 QUICK_RESULTS = pytest.StashKey[list]()
+PIPELINE_SECONDS = pytest.StashKey[dict]()
 
 
 @pytest.fixture(scope="session")
@@ -14,6 +15,12 @@ def quick_suite(request):
     """One shared run of the quick verification suite."""
     results = request.config.stash[QUICK_RESULTS] = run_suite(quick=True)
     return results
+
+
+@pytest.fixture
+def pipeline_seconds(request):
+    """Seconds per README pipeline, filled by the tests that run them."""
+    return request.config.stash.setdefault(PIPELINE_SECONDS, {})
 
 
 @pytest.fixture(autouse=True)
@@ -28,8 +35,8 @@ def gc_left_enabled():
 
 def pytest_terminal_summary(terminalreporter, config):
     """One line of src/gevreykit line counts per module and in total and,
-    when the shared quick suite ran, one line of its seconds per check;
-    they report only and gate nothing."""
+    when the shared quick suite or the README pipelines ran, one line each
+    of their seconds; they report only and gate nothing."""
     counts = {p.stem: len(p.read_text().splitlines()) for p in sorted(SOURCE.glob("*.py"))}
     terminalreporter.write_line("src/gevreykit lines: %s; total %d" % (
         ", ".join("%s %d" % kv for kv in counts.items()), sum(counts.values())))
@@ -38,3 +45,7 @@ def pytest_terminal_summary(terminalreporter, config):
         terminalreporter.write_line("quick suite seconds: %s; total %.1f" % (
             ", ".join("%s %.1f" % (r.name, r.seconds) for r in results),
             sum(r.seconds for r in results)))
+    pipelines = config.stash.get(PIPELINE_SECONDS, None)
+    if pipelines:
+        terminalreporter.write_line("README pipeline seconds: %s" % (
+            ", ".join("%s %.2f" % kv for kv in pipelines.items())))

@@ -1,5 +1,10 @@
 import io
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -524,3 +529,34 @@ def test_sphere_series_refuses_non_finite_values_exit_3(capsys, tmp_path):
         code, out, err = run_cli(capsys, sphere + ["--action", "series", "-i", str(target)])
     assert (code, out) == (3, "")
     assert err.startswith("data error") and "(beta, alpha)" in err and "not finite" in err
+
+
+T1_FIELD = ["--group", "t1", "--cutoff", "6000", "--s", "2"]
+README_PIPELINES = {
+    "catalog": [["catalog", "--group", "su2", "--cutoff", "30"]],
+    "synthesize|classify": [["synthesize", *T1_FIELD, "--B", "1"],
+                            ["classify", *T1_FIELD, "--mode", "R", "--expect", "pass"]],
+    "classify --side both": [["classify", *T1_FIELD, "--side", "both", "-i", "field.jsonl"]],
+}
+
+
+@pytest.mark.parametrize("name", README_PIPELINES)
+def test_readme_pipelines_exit_0_as_commands(name, tmp_path, pipeline_seconds):
+    """Each README pipeline as fresh `python -m gevreykit.cli` processes, start-up
+    included; its seconds go to the terminal summary and gate nothing."""
+    path = [str(Path(cli.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    field = synthesize_gevrey(enumerate_dual(GroupSpec("torus", 1), 6000.0), 2.0, 1.0)
+    (tmp_path / "field.jsonl").write_text(field_to_jsonl(field))
+    start = time.perf_counter()
+    procs, stdin = [], subprocess.DEVNULL
+    for argv in README_PIPELINES[name]:
+        procs.append(subprocess.Popen([sys.executable, "-m", "gevreykit.cli", *argv], cwd=tmp_path,
+                                      env=env, stdin=stdin, stdout=subprocess.PIPE))
+        stdin = procs[-1].stdout
+    for proc in procs[:-1]:
+        proc.stdout.close()  # the next command owns the pipe now
+    procs[-1].communicate()
+    codes = [proc.wait() for proc in procs]
+    pipeline_seconds[name] = time.perf_counter() - start
+    assert codes == [0] * len(procs), name

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gevreykit.errors import DomainError
-from gevreykit.fourier import CoefficientField
+from gevreykit.fourier import CoefficientField, lp_norm, matrix_lp_norm, matrix_norm_slacks
 from gevreykit.gevrey import (
     cross_check,
     fit_decay,
@@ -125,6 +125,26 @@ def test_infimum_bound_matches_grid_oracle():
             closed = infimum_decay_bound(r, s)
             grid = infimum_decay_grid(r, s)
             assert closed == pytest.approx(grid, rel=1e-6)
+
+
+FIELD = synthesize_gevrey(enumerate_dual(T1, 50.0), 2.0, 1.0)
+SCALAR_CALLS = {
+    "lp_norm-p": lambda v: lp_norm(FIELD, v),
+    "matrix_lp_norm-p": lambda v: matrix_lp_norm(np.eye(3), v),
+    "matrix_norm_slacks-p": lambda v: matrix_norm_slacks(np.eye(3), v, 2),
+    "infimum_decay_bound-r": lambda v: infimum_decay_bound(v, 1.0),
+    "infimum_decay_bound-s": lambda v: infimum_decay_bound(1.0, v),
+    "infimum_decay_grid-r": lambda v: infimum_decay_grid(v, 1.0),
+    "infimum_decay_grid-s": lambda v: infimum_decay_grid(1.0, v),
+    "pinned_model-s": lambda v: pinned_model(FIELD, v),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("call", SCALAR_CALLS.values(), ids=SCALAR_CALLS.keys())
+def test_scalar_parameters_refuse_nan_zero_and_negative(call, bad):
+    with pytest.raises(DomainError):
+        call(bad)
 
 
 def test_polynomial_decay_is_not_gevrey():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
+from scipy.special import gammaln
 
 from gevreykit.calculus import vector_field_symbol
 from gevreykit import groups
@@ -230,6 +231,64 @@ def test_one_parity_stack_is_the_full_stacks_entries_bit_for_bit(monkeypatch):
     even = quadrature.wigner_d_cached(4, betas, (0,))
     assert sorted(even) == [0, 2, 4] and quadrature.wigner_d_cached(4, betas, (0,)) is even
     assert sorted(quadrature.wigner_d_cached(4, betas)) == [0, 1, 2, 3, 4]
+
+
+def _seed_oracle(two_j, two_m, two_n, cb, sb):
+    """The four-branch scalar seed d^j_{mn} at j = max(|m|, |n|), one pair per call."""
+    j, m, n = two_j / 2.0, two_m / 2.0, two_n / 2.0
+    if two_m == two_j:
+        lc = 0.5 * (gammaln(two_j + 1) - gammaln(j + n + 1) - gammaln(j - n + 1))
+        return np.exp(lc) * cb ** (j + n) * (-sb) ** (j - n)
+    if two_m == -two_j:
+        lc = 0.5 * (gammaln(two_j + 1) - gammaln(j - n + 1) - gammaln(j + n + 1))
+        return np.exp(lc) * cb ** (j - n) * sb ** (j + n)
+    if two_n == two_j:
+        lc = 0.5 * (gammaln(two_j + 1) - gammaln(j + m + 1) - gammaln(j - m + 1))
+        return np.exp(lc) * cb ** (j + m) * sb ** (j - m)
+    lc = 0.5 * (gammaln(two_j + 1) - gammaln(j - m + 1) - gammaln(j + m + 1))
+    return np.exp(lc) * cb ** (j - m) * (-sb) ** (j + m)
+
+
+def _d_stack_oracle(two_jmax, beta):
+    """Both parities of the little-d stack, seeded pair by pair and recursed in 2j."""
+    cosb, cb, sb = np.cos(beta), np.cos(beta / 2.0), np.sin(beta / 2.0)
+    out = {two_j: np.zeros(beta.shape + (two_j + 1, two_j + 1)) for two_j in range(two_jmax + 1)}
+    for parity in (0, 1):
+        ms = range(-two_jmax + ((two_jmax - parity) % 2), two_jmax + 1, 2)
+        for two_m, two_n in [(tm, tn) for tm in ms for tn in ms]:
+            two_j = max(abs(two_m), abs(two_n))
+            m, n = two_m / 2.0, two_n / 2.0
+            prev, cur = np.zeros_like(beta), _seed_oracle(two_j, two_m, two_n, cb, sb)
+            while True:
+                out[two_j][..., (two_j - two_m) // 2, (two_j - two_n) // 2] = cur
+                if two_j + 2 > two_jmax:
+                    break
+                j = two_j / 2.0
+                if two_j == 0:
+                    nxt = cosb * cur
+                else:
+                    jp = j + 1.0
+                    c1 = (2.0 * j + 1.0) * (j * jp * cosb - m * n)
+                    c2 = jp * math.sqrt((j * j - m * m) * (j * j - n * n))
+                    den = j * math.sqrt((jp * jp - m * m) * (jp * jp - n * n))
+                    nxt = (c1 * cur - c2 * prev) / den
+                prev, cur = cur, nxt
+                two_j += 2
+    return out
+
+
+def test_wigner_d_stack_matches_the_pairwise_seeded_oracle_bit_for_bit():
+    rng = np.random.default_rng(27)
+    edges = [0.0, 1e-300, 1e-8, math.pi / 2, math.pi - 1e-9, math.pi]
+    for betas in (np.concatenate([edges, rng.uniform(0.0, math.pi, 13)]),
+                  rng.uniform(0.0, math.pi, (3, 4))):
+        for two_jmax in (0, 1, 40, 61):
+            ref = _d_stack_oracle(two_jmax, betas)
+            for parities in ((0, 1), (0,), (1,)):
+                stack = wigner_d_all(two_jmax, betas, parities)
+                assert sorted(stack) == [t for t in ref if t % 2 in parities]
+                for two_j, mat in stack.items():
+                    assert mat.tobytes() == ref[two_j].tobytes(), (two_jmax, two_j, parities)
 
 
 def _betas():
