@@ -11,14 +11,8 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
-from .fourier import (
-    CoefficientField,
-    _require_same_catalog,
-    lp_norm,
-    operator_norm,
-    plancherel_norm,
-)
+from .errors import DomainError, check_finite, check_int
+from .fourier import CoefficientField, _require_same_catalog, lp_norm, operator_norm
 from .quadrature import tree_sum
 
 
@@ -30,7 +24,7 @@ def vector_field_symbol(catalog, j):
     """Symbol of the left-invariant field X_j, i.e. dxi(X_j) per class."""
     spec = catalog.spec
     n = spec.manifold_dim
-    if not 1 <= j <= n:
+    if check_int("j", j, 1) > n:
         raise DomainError("basis index %d outside 1..%d" % (j, n))
     if spec.family == "torus":
         k = np.array(catalog.labels)[:, j - 1]
@@ -57,15 +51,6 @@ def canonical_word(alpha):
     return tuple(word)
 
 
-def word_to_alpha(word, n):
-    alpha = [0] * n
-    for letter in word:
-        if not 1 <= letter <= n:
-            raise DomainError("letter %d outside 1..%d" % (letter, n))
-        alpha[letter - 1] += 1
-    return tuple(alpha)
-
-
 def alpha_symbol(word, catalog):
     """Word-ordered product of first-order symbols; empty word is identity."""
     sym = Symbol.identity(catalog)
@@ -83,8 +68,7 @@ def apply_symbol(sym, coeffs):
 
 def laplacian_power_apply(coeffs, k):
     """Multiply each block by |xi|^(2k); kills the trivial class for k >= 1."""
-    if k < 0:
-        raise DomainError("k must be >= 0")
+    check_int("k", k, 0)
     factor = np.array([lam**k for lam in coeffs.catalog.lambda_sq.tolist()])
     out = coeffs.class_scaled(factor)
     out.present &= factor != 0.0
@@ -96,7 +80,7 @@ def p_alpha_symbol(word, k, catalog):
 
     Requires 2k > |word| (the factorization regime).
     """
-    if 2 * k <= len(word):
+    if 2 * check_int("k", k, 0) <= len(word):
         raise DomainError("need 2k > |alpha| (got 2k=%d, |alpha|=%d)" % (2 * k, len(word)))
     factor = [lam ** (-k) if lam != 0.0 else 0.0 for lam in catalog.lambda_sq.tolist()]
     return alpha_symbol(word, catalog).class_scaled(factor)
@@ -104,23 +88,11 @@ def p_alpha_symbol(word, k, catalog):
 
 def sobolev_norm(coeffs, t):
     """(sum d <xi>^(2t) ||f_hat||_HS^2)^(1/2)."""
+    check_finite("t", t)
     dims = coeffs.catalog.dims.astype(float)
     brackets = coeffs.catalog.brackets
     hs = coeffs.hs_norms()
     return math.sqrt(float(tree_sum(dims * brackets ** (2.0 * t) * hs * hs)))
-
-
-def derivative_l2_profile(coeffs, up_to):
-    """L2 norms of every canonical derivative up to total order up_to."""
-    if up_to < 0:
-        raise DomainError("up_to must be >= 0")
-    n = coeffs.catalog.spec.manifold_dim
-    out = {}
-    for total in range(up_to + 1):
-        for alpha in _multi_indices(n, total):
-            sym = alpha_symbol(canonical_word(alpha), coeffs.catalog)
-            out[alpha] = plancherel_norm(apply_symbol(sym, coeffs))
-    return out
 
 
 def _multi_indices(n, total):

@@ -54,7 +54,7 @@ def _parse_group(name):
     name = str(name).lower()
     if name in ("su2", "so3"):
         return GroupSpec(name)
-    if name.startswith("t") and name[1:].isdigit():
+    if name.startswith("t") and name[1:].isdigit() and int(name[1:]) >= 1:
         return GroupSpec("torus", torus_dim=int(name[1:]))
     raise ConfigurationError(
         "unknown group %r; use su2, so3, or t<n> for the n-torus" % name

@@ -15,12 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, IllPairedError
+from .errors import DomainError, IllPairedError, check_positive
 from .fourier import CoefficientField, _require_same_catalog, inverse_transform
 from .gevrey import (
     HS_FLOOR,
     _bracket_rates,
-    _check_positive,
     _ls_line,
     _open_verdict,
     _tertile_slopes,
@@ -91,7 +90,8 @@ def ultra_membership_test(seq, s, mode):
 
 def alpha_dual_series_probe(seq, s, B):
     """Partial sums of sum_xi e^{-B <xi>^(1/s)} ||v_xi||_HS in catalog order."""
-    _check_positive(s=s, B=B)
+    check_positive("s", s)
+    check_positive("B", B)
     hs = seq.hs_norms()[seq.present]
     with np.errstate(divide="ignore"):
         return np.cumsum(np.exp(np.log(hs) - B * seq.catalog.brackets[seq.present] ** (1.0 / s)))
@@ -160,7 +160,7 @@ def continuity_modulus(seq, s, epsilon_grid, battery):
     caller-supplied list of coefficient fields.
     """
     from scipy.special import gammaln  # on use: loading scipy.special costs a start-up 0.3 s
-    _check_positive(s=s)
+    check_positive("s", s)
     ks = np.arange(CONTINUITY_K_CAP + 1)
     k_weight = s * gammaln(ks + 1.0)
     paired = []
@@ -172,7 +172,7 @@ def continuity_modulus(seq, s, epsilon_grid, battery):
             paired.append((math.log(value), nk))
     rows = []
     for eps in epsilon_grid:
-        _check_positive(epsilon=eps)
+        check_positive("epsilon", eps)
         worst = 0.0
         for log_value, nk in paired:
             denom_log = float(np.max(ks * math.log(eps) - k_weight + nk))
@@ -189,7 +189,7 @@ def perfectness_roundtrip(coeffs, s, points=None):
     re-sums the inversion series independently at the given points and
     compares with inverse_transform.  s must be positive and finite.
     """
-    _check_positive(s=s)
+    check_positive("s", s)
     brackets, logs, _ = bracket_profile(coeffs)
     series = {}
     for bp in PERFECTNESS_B_GRID:

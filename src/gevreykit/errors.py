@@ -1,8 +1,14 @@
-"""Exception hierarchy shared across the toolkit.
+"""Exception hierarchy shared across the toolkit, and one validator per
+kind of scalar argument the exported functions take: each returns the
+value it accepts and refuses any other with a DomainError naming both.
 
 Exit-code mapping used by the CLI: usage errors -> 2, data errors -> 3,
 resource errors -> 4.
 """
+
+import cmath
+import math
+import numbers
 
 
 class GevreyKitError(Exception):
@@ -39,3 +45,28 @@ class IllPairedError(GevreyKitError):
 
 class DataError(GevreyKitError):
     """Malformed persisted data (JSON/CSV round-trip failures)."""
+
+
+def _refuse(name, value, kind):
+    raise DomainError("%s must be %s, got %r" % (name, kind, value))
+
+
+def check_positive(name, value):
+    """A real number in (0, inf)."""
+    return value if 0.0 < value < math.inf else _refuse(name, value, "positive and finite")
+
+
+def check_finite(name, value):
+    """A finite real or complex number."""
+    return value if cmath.isfinite(value) else _refuse(name, value, "finite")
+
+
+def check_int(name, value, low):
+    """An integer, not a bool or a float, of at least ``low``; returned as an int."""
+    ok = isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low
+    return int(value) if ok else _refuse(name, value, "an integer >= %d" % low)
+
+
+def check_norm_exponent(name, p):
+    """A norm exponent p >= 1, infinity included."""
+    return p if p >= 1 else _refuse(name, p, ">= 1 or infinity")

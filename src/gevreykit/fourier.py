@@ -20,7 +20,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import groups
-from .errors import ContractViolation, DomainError, ResourceError
+from .errors import ContractViolation, DomainError, ResourceError, check_finite, check_norm_exponent
 from .quadrature import band_for_catalog, d_stack_entries, tree_sum, wigner_d_all, wigner_d_cached
 
 SERIES_SLICE_ENTRIES = 1 << 18  # per array of an inverse_transform slice: 4 MB complex
@@ -100,6 +100,7 @@ class CoefficientField:
         return self._packed(self.data, self.present.copy())
 
     def scaled(self, c):
+        check_finite("c", c)
         return self._packed(c * self.data, self.present.copy())
 
     def class_scaled(self, factor):
@@ -108,6 +109,8 @@ class CoefficientField:
                             self.present.copy())
 
     def add(self, other, a=1.0, b=1.0):
+        check_finite("a", a)
+        check_finite("b", b)
         _require_same_catalog(self, other)
         return self._packed(a * self.data + b * other.data, self.present | other.present)
 
@@ -304,8 +307,7 @@ def lp_norm(coeffs, p):
 
     p = infinity uses sup over classes of d^(-1/2) ||f_hat||_HS.
     """
-    if not (p == math.inf or p >= 1):
-        raise DomainError("p must be >= 1 or infinity")
+    check_norm_exponent("p", p)
     dims = coeffs.catalog.dims.astype(float)
     hs = coeffs.hs_norms()
     if p == math.inf:
@@ -336,8 +338,7 @@ def hausdorff_young_gap(grid, samples, coeffs, synth):
 def matrix_lp_norm(a, p):
     """Entrywise l^p norm of a matrix; p=2 is the Hilbert-Schmidt norm."""
     a = np.asarray(a)
-    if not (p == math.inf or p >= 1):
-        raise DomainError("p must be >= 1 or infinity")
+    check_norm_exponent("p", p)
     if p == math.inf:
         return float(np.abs(a).max())
     return float(np.sum(np.abs(a) ** p) ** (1.0 / p))

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, InsufficientDataError
+from .errors import DomainError, InsufficientDataError, check_int, check_positive
 from .fourier import CoefficientField, diagonal_at, ranges
 
 HS_FLOOR = 1e-290
@@ -76,6 +76,7 @@ def profile_field(catalog, log_hs, profile="diagonal", seed=0):
     """
     if profile not in PROFILES:
         raise DomainError("unknown profile %r" % (profile,))
+    check_int("seed", seed, 0)
     out = CoefficientField(catalog)
     idx = np.flatnonzero(np.array(log_hs) >= math.log(HS_FLOOR))
     # libm exp, not numpy's vectorised one, keeps the bits CPU-independent
@@ -103,16 +104,10 @@ def profile_field(catalog, log_hs, profile="diagonal", seed=0):
     return out
 
 
-def _check_positive(**values):
-    """Refuse any of the named values that is not positive and finite."""
-    for name, value in values.items():
-        if not 0.0 < value < math.inf:
-            raise DomainError("%s must be positive and finite, got %r" % (name, value))
-
-
 def _bracket_rates(catalog, s, B):
     """B <xi>^(1/s) per class in catalog order, inf where the power overflows."""
-    _check_positive(s=s, B=B)
+    check_positive("s", s)
+    check_positive("B", B)
     rates = []
     for b in catalog.brackets.tolist():
         try:
@@ -195,13 +190,6 @@ def _pinned(brackets, logs, s):
     return DecayModel(float(s), -slope, float(intercept), r2, len(brackets))
 
 
-def pinned_model(coeffs, s):
-    """DecayModel with s pinned, B and K refitted on the full profile."""
-    _check_positive(s=s)
-    brackets, logs, _ = bracket_profile(coeffs)
-    return _pinned(brackets, logs, s)
-
-
 def _verdict(mode, s, margin, witness=None, **fields):
     """The one place verdicts are built: a verdict passes exactly when its
     margin is >= 0, and names a witness only when it fails."""
@@ -213,7 +201,7 @@ def _verdict(mode, s, margin, witness=None, **fields):
 def _check_order(catalog, s):
     """Refuse an order s that is not positive and finite, or so small
     that the slope fits' <xi>^(2/s), summed over the catalog, overflow."""
-    _check_positive(s=s)
+    check_positive("s", s)
     if 2.0 * math.log(catalog.brackets.max()) / s + math.log(len(catalog)) > LOG_DBL_MAX:
         raise DomainError("s = %r is too small for this catalog: <xi>^(2/s) overflows" % (s,))
 
@@ -372,21 +360,6 @@ def cross_check(coeffs, s, mode):
         "s": s,
         "mode": _norm_mode(mode),
     }
-
-
-def infimum_decay_bound(r, s):
-    """Closed form of inf over x > 0 of x^(sx) r^(-x), namely e^(-(s/e) r^(1/s))."""
-    _check_positive(r=r, s=s)
-    return math.exp(-(s / math.e) * r ** (1.0 / s))
-
-
-def infimum_decay_grid(r, s, points=200001):
-    """Dense-grid minimization of x^(sx) r^(-x); oracle for the closed form."""
-    _check_positive(r=r, s=s)
-    x_hi = 10.0 * max(1.0, r ** (1.0 / s))
-    x = np.linspace(x_hi / points, x_hi, points)
-    vals = s * x * np.log(x) - x * math.log(r)
-    return math.exp(float(vals.min()))
 
 
 def _norm_mode(mode):

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, ResourceError
+from .errors import ConfigurationError, DomainError, ResourceError, check_finite, check_int
 
 FAMILIES = ("torus", "su2", "so3")
 
@@ -54,8 +54,7 @@ class GroupSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ConfigurationError("unknown group family: %r" % (self.family,))
-        if self.family == "torus" and self.torus_dim < 1:
-            raise ConfigurationError("torus dimension must be >= 1")
+        check_int("torus_dim", self.torus_dim, 1)
 
     @property
     def manifold_dim(self):
@@ -171,9 +170,7 @@ def enumerate_dual(spec, cutoff):
     A cutoff needing more than CATALOG_CANDIDATE_BUDGET candidate labels
     is refused with a resource error.
     """
-    if not math.isfinite(cutoff):
-        raise DomainError("cutoff must be finite, got %r" % (cutoff,))
-    if cutoff < 1.0:
+    if check_finite("cutoff", cutoff) < 1.0:
         raise DomainError("cutoff must be >= 1 so the trivial class is included")
     # |k_i| <= |k| <= bracket on T^n, 2j < 2 bracket on SU(2) and
     # l < bracket on SO(3)
@@ -230,8 +227,7 @@ def series_convergence_probe(catalog, t):
     per-rep terms, running partial sums, and the relative size of the
     final increment, which a caller inspects for Cauchy decay.
     """
-    if not math.isfinite(t):
-        raise DomainError("exponent t must be finite, got %r" % (t,))
+    check_finite("t", t)
     br = catalog.brackets
     d = catalog.dims.astype(float)
     terms = d * d * br ** (-2.0 * t)

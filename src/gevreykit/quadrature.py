@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import groups
-from .errors import DomainError, ResourceError
+from .errors import DomainError, ResourceError, check_int
 
 TWO_PI = 2.0 * math.pi
 
@@ -319,9 +319,7 @@ def build_grid(spec, band):
     spin for SU(2), or the top spin for SO(3).  A grid of more than
     groups.GRID_SAMPLE_BUDGET nodes is refused before it is built.
     """
-    band = int(band)
-    if band < 0:
-        raise DomainError("band must be >= 0")
+    band = check_int("band", band, 0)
     n = 2 * band + 1
     size = n**spec.torus_dim if spec.family == "torus" else 8 * (band + 1) ** 3
     if size > groups.GRID_SAMPLE_BUDGET:

@@ -32,21 +32,9 @@ class ClassIStructure:
         if self.catalog.spec.family != "so3":
             raise ConfigurationError("class-I structure is built for SO(3) only")
 
-    def k_of(self, label):
-        """Number of invariant vectors; 1 for every spin on the sphere."""
-        self.catalog.lookup(label)
-        return 1
-
     def invariant_index(self, label):
         """Row index of the m = 0 vector in the descending-m basis."""
         return self.catalog.lookup(label).label[0]
-
-    def permutation(self, label):
-        """Reordering placing the invariant vector first."""
-        l = self.invariant_index(label)
-        d = self.catalog.lookup(label).dim
-        return (l,) + tuple(i for i in range(d) if i != l)
-
 
 def _off_class_one(coeffs, structure):
     """Mask of the packed entries outside each block's invariant row."""

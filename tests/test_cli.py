@@ -1,3 +1,4 @@
+import functools
 import io
 import json
 import os
@@ -10,10 +11,13 @@ import numpy as np
 import pytest
 
 from gevreykit import cli
+from gevreykit.duality import delta_sequence, growth_sequence
+from gevreykit.fourier import inverse_on_grid
 from gevreykit.gevrey import synthesize_gevrey
 from gevreykit.groups import GroupSpec, enumerate_dual
 from gevreykit.quadrature import band_for_catalog, build_grid
 from gevreykit.serialize import field_to_jsonl, samples_to_csv, sphere_csv
+from gevreykit.sphere import ClassIStructure, project_class_one, sphere_series
 
 
 def run_cli(capsys, argv, stdin_text=None, monkeypatch=None):
@@ -531,23 +535,81 @@ def test_sphere_series_refuses_non_finite_values_exit_3(capsys, tmp_path):
     assert err.startswith("data error") and "(beta, alpha)" in err and "not finite" in err
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
 T1_FIELD = ["--group", "t1", "--cutoff", "6000", "--s", "2"]
+SO3_12 = ["--group", "so3", "--cutoff", "12"]
+# every README command but `verify`, as written there
 README_PIPELINES = {
     "catalog": [["catalog", "--group", "su2", "--cutoff", "30"]],
     "synthesize|classify": [["synthesize", *T1_FIELD, "--B", "1"],
                             ["classify", *T1_FIELD, "--mode", "R", "--expect", "pass"]],
     "classify --side both": [["classify", *T1_FIELD, "--side", "both", "-i", "field.jsonl"]],
+    "ultra-test": [["ultra-test", "--group", "t1", "--cutoff", "2000", "--s", "2", "--mode", "B",
+                    "-i", "sequence.jsonl"]],
+    "transform": [["transform", *SO3_12, "-i", "samples.csv"]],
+    "transform --inverse": [["transform", *SO3_12, "--inverse", "-i", "field.jsonl"]],
+    "pair": [["pair", "--group", "su2", "--cutoff", "70", "--sequence", "delta.jsonl",
+              "-i", "field.jsonl"]],
+    "sphere project": [["sphere", *SO3_12, "--action", "project", "-i", "field.jsonl"]],
+    "sphere lift": [["sphere", *SO3_12, "--action", "lift", "-i", "sphere.csv"]],
+    "sphere series": [["sphere", *SO3_12, "--action", "series", "-i", "projected.jsonl"]],
+    "sphere test": [["sphere", *SO3_12, "--action", "test", "-i", "projected.jsonl",
+                     "--s", "2", "--mode", "R"]],
+    "sphere ultra": [["sphere", *SO3_12, "--action", "ultra", "-i", "sequence.jsonl",
+                      "--s", "2", "--mode", "B"]],
+    "probe series": [["probe", "--lemma", "series", "--group", "su2", "--cutoff", "500",
+                      "--t", "1.5", "--t", "2.0"]],
+    "probe hy": [["probe", "--lemma", "hy", "--group", "su2", "--cutoff", "6", "--trials", "10",
+                  "--seed", "0"]],
+    "probe norms": [["probe", "--lemma", "norms", "--trials", "100", "--seed", "0"]],
 }
+
+
+def _readme_inputs(name):
+    """The files a README pipeline reads, on its own catalog: field.jsonl a
+    Gevrey field, sequence.jsonl a growth sequence (class-I on the sphere),
+    delta.jsonl the delta sequence, and on SO(3) the grid samples
+    (samples.csv), the class-I projection (projected.jsonl) and its
+    spherical series (sphere.csv) of the field."""
+    if name == "classify --side both":
+        return {"field.jsonl": synthesize_gevrey(enumerate_dual(GroupSpec("torus", 1), 6000.0),
+                                                 2.0, 1.0)}
+    if name == "ultra-test":
+        return {"sequence.jsonl": growth_sequence(enumerate_dual(GroupSpec("torus", 1), 2000.0),
+                                                  2.0, 0.5)}
+    if name == "pair":
+        # a field decaying like exp(-<xi>^2) leaves the pairing no tail past bracket 7
+        cat = enumerate_dual(GroupSpec("su2"), 70.0)
+        return {"delta.jsonl": delta_sequence(cat), "field.jsonl": synthesize_gevrey(cat, 0.5, 1.0)}
+    return _so3_inputs() if name.startswith(("transform", "sphere")) else {}
+
+
+@functools.lru_cache(maxsize=None)
+def _so3_inputs():
+    spec = GroupSpec("so3")
+    cat = enumerate_dual(spec, 12.0)
+    structure, grid = ClassIStructure(cat), build_grid(spec, band_for_catalog(cat))
+    field = synthesize_gevrey(cat, 2.0, 1.0)
+    projected = project_class_one(field, structure)
+    values = sphere_series(projected, structure, [(b, a) for b in grid.beta for a in grid.alpha])
+    return {"field.jsonl": field, "projected.jsonl": projected,
+            "sequence.jsonl": project_class_one(growth_sequence(cat, 2.0, 0.5), structure),
+            "samples.csv": samples_to_csv(inverse_on_grid(field, grid)),
+            "sphere.csv": sphere_csv(grid, values.reshape(len(grid.beta), len(grid.alpha)))}
+
+
+def _env_with_src():
+    path = [str(Path(cli.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
 
 
 @pytest.mark.parametrize("name", README_PIPELINES)
 def test_readme_pipelines_exit_0_as_commands(name, tmp_path, pipeline_seconds):
     """Each README pipeline as fresh `python -m gevreykit.cli` processes, start-up
     included; its seconds go to the terminal summary and gate nothing."""
-    path = [str(Path(cli.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    field = synthesize_gevrey(enumerate_dual(GroupSpec("torus", 1), 6000.0), 2.0, 1.0)
-    (tmp_path / "field.jsonl").write_text(field_to_jsonl(field))
+    env = _env_with_src()
+    for file, value in _readme_inputs(name).items():
+        (tmp_path / file).write_text(value if isinstance(value, str) else field_to_jsonl(value))
     start = time.perf_counter()
     procs, stdin = [], subprocess.DEVNULL
     for argv in README_PIPELINES[name]:
@@ -560,3 +622,17 @@ def test_readme_pipelines_exit_0_as_commands(name, tmp_path, pipeline_seconds):
     codes = [proc.wait() for proc in procs]
     pipeline_seconds[name] = time.perf_counter() - start
     assert codes == [0] * len(procs), name
+
+
+def test_readme_library_example_prints_true_then_false(capsys):
+    block = README.read_text().split("## Library use", 1)[1].split("```python\n", 1)[1]
+    exec(compile(block.split("```", 1)[0], str(README), "exec"), {})
+    assert capsys.readouterr().out.split() == ["True", "False"]
+
+
+def test_importing_the_package_and_its_cli_loads_no_scipy_special():
+    code = ("import sys, gevreykit, gevreykit.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.special')))")
+    run = subprocess.run([sys.executable, "-c", code], env=_env_with_src(), capture_output=True,
+                         text=True, check=True)
+    assert run.stdout == "[]\n"

@@ -4,21 +4,21 @@ import math
 import numpy as np
 import pytest
 
-from gevreykit.errors import DomainError
-from gevreykit.fourier import CoefficientField, lp_norm, matrix_lp_norm, matrix_norm_slacks
+from gevreykit.errors import DomainError, check_positive
+from gevreykit.fourier import CoefficientField
 from gevreykit.gevrey import (
+    _pinned,
+    bracket_profile,
     cross_check,
     fit_decay,
     fourier_side_test,
-    infimum_decay_bound,
-    infimum_decay_grid,
     log_l1_bounds,
-    pinned_model,
     space_side_test,
     synthesize_gevrey,
 )
 from gevreykit.groups import GroupSpec, enumerate_dual
 from gevreykit.serialize import verdict_to_json
+from test_contract import SCALARS
 
 T1 = GroupSpec("torus", 1)
 
@@ -119,6 +119,30 @@ def test_invalid_s_rejected():
         synthesize_gevrey(cat, 1.0, -1.0)
 
 
+def infimum_decay_bound(r, s):
+    """Closed form of inf over x > 0 of x^(sx) r^(-x), namely e^(-(s/e) r^(1/s))."""
+    check_positive("r", r)
+    check_positive("s", s)
+    return math.exp(-(s / math.e) * r ** (1.0 / s))
+
+
+def infimum_decay_grid(r, s, points=200001):
+    """Dense-grid minimization of x^(sx) r^(-x); oracle for the closed form."""
+    check_positive("r", r)
+    check_positive("s", s)
+    x_hi = 10.0 * max(1.0, r ** (1.0 / s))
+    x = np.linspace(x_hi / points, x_hi, points)
+    vals = s * x * np.log(x) - x * math.log(r)
+    return math.exp(float(vals.min()))
+
+
+def pinned_model(coeffs, s):
+    """DecayModel with s pinned, B and K refitted on the full profile."""
+    check_positive("s", s)
+    brackets, logs, _ = bracket_profile(coeffs)
+    return _pinned(brackets, logs, s)
+
+
 def test_infimum_bound_matches_grid_oracle():
     for r in (2.0, 10.0, 1e4):
         for s in (0.5, 1.0, 2.0):
@@ -128,10 +152,9 @@ def test_infimum_bound_matches_grid_oracle():
 
 
 FIELD = synthesize_gevrey(enumerate_dual(T1, 50.0), 2.0, 1.0)
+# the norm rows come from the library's contract table
 SCALAR_CALLS = {
-    "lp_norm-p": lambda v: lp_norm(FIELD, v),
-    "matrix_lp_norm-p": lambda v: matrix_lp_norm(np.eye(3), v),
-    "matrix_norm_slacks-p": lambda v: matrix_norm_slacks(np.eye(3), v, 2),
+    **{key: SCALARS[key][2] for key in ("lp_norm-p", "matrix_lp_norm-p", "matrix_norm_slacks-p")},
     "infimum_decay_bound-r": lambda v: infimum_decay_bound(v, 1.0),
     "infimum_decay_bound-s": lambda v: infimum_decay_bound(1.0, v),
     "infimum_decay_grid-r": lambda v: infimum_decay_grid(v, 1.0),

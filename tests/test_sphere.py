@@ -84,11 +84,8 @@ def test_dimension_accounting():
     cat, _, struct = _setup(7)
     for rep in cat:
         l = rep.label[0]
-        assert struct.k_of(rep.label) == 1
         assert rep.dim == 2 * l + 1
-        perm = struct.permutation(rep.label)
-        assert len(perm) == rep.dim
-        assert perm[0] == struct.invariant_index(rep.label) == l
+        assert struct.invariant_index(rep.label) == l
 
 
 def test_deliberate_leakage_names_witness():
