@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, check_finite, check_int
+from .errors import DomainError, check_finite, check_in_range, check_int
 from .fourier import CoefficientField, _require_same_catalog, lp_norm, operator_norm
 from .quadrature import tree_sum
 
@@ -68,9 +68,16 @@ def apply_symbol(sym, coeffs):
 
 def laplacian_power_apply(coeffs, k):
     """Multiply each block by |xi|^(2k); kills the trivial class for k >= 1."""
-    check_int("k", k, 0)
-    factor = np.array([lam**k for lam in coeffs.catalog.lambda_sq.tolist()])
-    out = coeffs.class_scaled(factor)
+    what = "k = %r" % check_int("k", k, 0)
+    lam = coeffs.catalog.lambda_sq
+    try:
+        factor = np.array([x**k for x in lam.tolist()])
+    except OverflowError:
+        raise DomainError("%s takes the result outside the double range" % what) from None
+    with np.errstate(over="ignore"):
+        out = coeffs.class_scaled(factor)
+    kept = np.repeat((lam != 0) | (k == 0), np.diff(coeffs.catalog.offsets))
+    check_in_range(what, out.data, nonzero=bool(coeffs.data[kept].any()))
     out.present &= factor != 0.0
     return out
 
@@ -92,7 +99,9 @@ def sobolev_norm(coeffs, t):
     dims = coeffs.catalog.dims.astype(float)
     brackets = coeffs.catalog.brackets
     hs = coeffs.hs_norms()
-    return math.sqrt(float(tree_sum(dims * brackets ** (2.0 * t) * hs * hs)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = math.sqrt(float(tree_sum(dims * brackets ** (2.0 * t) * hs * hs)))
+    return check_in_range("t = %r" % t, norm, nonzero=bool(hs.any()))
 
 
 def _multi_indices(n, total):

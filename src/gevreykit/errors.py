@@ -1,6 +1,7 @@
-"""Exception hierarchy shared across the toolkit, and one validator per
-kind of scalar argument the exported functions take: each returns the
-value it accepts and refuses any other with a DomainError naming both.
+"""Exception hierarchy shared across the toolkit, one validator per kind
+of scalar argument the exported functions take, and one for results: each
+returns the value it accepts and refuses any other with a DomainError
+naming the argument.
 
 Exit-code mapping used by the CLI: usage errors -> 2, data errors -> 3,
 resource errors -> 4.
@@ -9,6 +10,8 @@ resource errors -> 4.
 import cmath
 import math
 import numbers
+
+import numpy as np
 
 
 class GevreyKitError(Exception):
@@ -70,3 +73,12 @@ def check_int(name, value, low):
 def check_norm_exponent(name, p):
     """A norm exponent p >= 1, infinity included."""
     return p if p >= 1 else _refuse(name, p, ">= 1 or infinity")
+
+
+def check_in_range(what, result, nonzero=False):
+    """A result all of whose numbers are finite and, where ``nonzero`` says
+    its exact value is not 0, not all 0; any other left the double range on
+    the way and is refused with a DomainError naming ``what`` ("t = 400.0")."""
+    if np.isfinite(result).all() and (np.any(result) or not nonzero):
+        return result
+    raise DomainError("%s takes the result outside the double range" % what)

@@ -20,11 +20,11 @@ from types import MappingProxyType
 import numpy as np
 
 from . import groups
-from .errors import ContractViolation, DomainError, ResourceError, check_finite, check_norm_exponent
-from .quadrature import band_for_catalog, d_stack_entries, tree_sum, wigner_d_all, wigner_d_cached
+from .errors import (ContractViolation, DomainError, ResourceError, check_finite, check_in_range,
+                     check_norm_exponent)
+from .quadrature import SPIN_PARITIES, band_for_catalog, d_stack_entries, tree_sum, wigner_d_all
 
 SERIES_SLICE_ENTRIES = 1 << 18  # per array of an inverse_transform slice: 4 MB complex
-SPIN_PARITIES = {"su2": (0, 1), "so3": (0,)}  # parities of 2j in the dual: SO(3) has integer spins
 
 
 class CoefficientField:
@@ -159,18 +159,15 @@ def _check_band(grid, catalog):
 
 
 def _euler_entries(catalog, grid):
-    """exp(+i m alpha) and exp(+i n gamma) for 2m, 2n in [-two_band,
-    two_band], two_band twice the grid's top weight; the little-d value
-    of every packed entry of the catalog on the grid's betas, shape
-    (n_beta, entries); and each entry's m and n row of those tables."""
-    two_band = 2 * grid.band if grid.spec.family == "so3" else grid.band
-    twice = np.arange(-two_band, two_band + 1)
-    ea = np.exp(0.5j * np.outer(twice, grid.alpha))
-    eg = np.exp(0.5j * np.outer(twice, grid.gamma))
-    dstack = wigner_d_cached(two_band, grid.beta, SPIN_PARITIES[grid.spec.family])
+    """The grid's phase tables exp(+i m alpha) and exp(+i n gamma), 2m and
+    2n in [-T, T] (GroupGrid.euler_tables); the little-d value of every
+    packed entry of the catalog on the grid's betas, shape (n_beta,
+    entries); and each entry's m and n row of those tables."""
+    ea, eg, dstack = grid.euler_tables
     d = np.concatenate([dstack[t].reshape(len(grid.beta), -1)
                         for t in (catalog.dims - 1).tolist()], axis=1)
     _, two_m, two_n = catalog.entry_weights
+    two_band = len(ea) // 2
     return ea, eg, d, two_band + two_m, two_band + two_n
 
 
@@ -299,7 +296,9 @@ def plancherel_norm(coeffs):
     """(sum_xi d_xi ||f_hat(xi)||_HS^2)^(1/2), fixed reduction order."""
     dims = coeffs.catalog.dims.astype(float)
     hs = coeffs.hs_norms()
-    return math.sqrt(float(tree_sum(dims * hs * hs)))
+    with np.errstate(over="ignore"):
+        norm = math.sqrt(float(tree_sum(dims * hs * hs)))
+    return check_in_range("coeffs", norm, nonzero=bool(hs.any()))
 
 
 def lp_norm(coeffs, p):
@@ -310,11 +309,14 @@ def lp_norm(coeffs, p):
     check_norm_exponent("p", p)
     dims = coeffs.catalog.dims.astype(float)
     hs = coeffs.hs_norms()
-    if p == math.inf:
-        vals = hs / np.sqrt(dims)
-        return float(vals.max()) if len(vals) else 0.0
-    weights = dims ** (p * (2.0 / p - 0.5))
-    return float(tree_sum(weights * hs**p)) ** (1.0 / p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if p == math.inf:
+            vals = hs / np.sqrt(dims)
+            norm = float(vals.max()) if len(vals) else 0.0
+        else:
+            weights = dims ** (p * (2.0 / p - 0.5))
+            norm = float(tree_sum(weights * hs**p)) ** (1.0 / p)
+    return check_in_range("p = %r on these coeffs" % p, norm, nonzero=bool(hs.any()))
 
 
 def hausdorff_young_gap(grid, samples, coeffs, synth):

@@ -17,7 +17,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, ResourceError, check_finite, check_int
+from .errors import (ConfigurationError, DomainError, ResourceError, check_finite, check_in_range,
+                     check_int)
 
 FAMILIES = ("torus", "su2", "so3")
 
@@ -230,10 +231,11 @@ def series_convergence_probe(catalog, t):
     check_finite("t", t)
     br = catalog.brackets
     d = catalog.dims.astype(float)
-    terms = d * d * br ** (-2.0 * t)
+    with np.errstate(over="ignore"):
+        terms = d * d * br ** (-2.0 * t)
     sums = np.cumsum(terms)
-    total = float(sums[-1])
-    last_rel = float(terms[-1] / total) if total > 0 else 0.0
+    total = check_in_range("t = %r" % t, float(sums[-1]), nonzero=True)
+    last_rel = float(terms[-1] / total)
     return {"terms": terms, "partial_sums": sums, "last_relative_increment": last_rel}
 
 

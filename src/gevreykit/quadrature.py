@@ -17,6 +17,7 @@ uniform nodes in alpha and gamma, Gauss-Legendre nodes in cos(beta).
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from . import groups
 from .errors import DomainError, ResourceError, check_int
 
 TWO_PI = 2.0 * math.pi
+SPIN_PARITIES = {"su2": (0, 1), "so3": (0,)}  # parities of 2j in the dual: SO(3) has integer spins
 
 
 def tree_sum(values):
@@ -135,25 +137,8 @@ def wigner_d_matrix(two_j, beta):
     return wigner_d_all(two_j, beta, (two_j % 2,))[two_j]
 
 
-DSTACK_CACHE_BYTES = 256 * 2**20
-_DSTACK_CACHE = {}
-
-
-def wigner_d_cached(two_jmax, beta, parities=(0, 1)):
-    """Memoized wigner_d_all for repeated transforms on the same grid.
-
-    The cache keeps at most DSTACK_CACHE_BYTES of stacks, evicting the
-    oldest first; a stack larger than the whole budget is not kept.
-    """
-    key = (two_jmax, beta.tobytes(), tuple(parities))
-    if key in _DSTACK_CACHE:
-        return _DSTACK_CACHE[key]
-    stack = wigner_d_all(two_jmax, beta, parities)
-    if sum(a.nbytes for a in stack.values()) <= DSTACK_CACHE_BYTES:
-        _DSTACK_CACHE[key] = stack
-        while sum(a.nbytes for st in _DSTACK_CACHE.values() for a in st.values()) > DSTACK_CACHE_BYTES:
-            del _DSTACK_CACHE[next(iter(_DSTACK_CACHE))]
-    return stack
+# one alias kept for the benchmark's band sweep, which calls this name (ROADMAP item 1)
+wigner_d_cached = wigner_d_all
 
 
 def rep_matrix(spec, rep, angles):
@@ -176,74 +161,7 @@ def rep_matrix(spec, rep, angles):
 
 
 # ---------------------------------------------------------------------------
-# Element algebra in the defining matrix pictures
-
-
-def euler_to_su2(angles):
-    alpha, beta, gamma = (float(a) for a in angles)
-    c = math.cos(beta / 2.0)
-    s = math.sin(beta / 2.0)
-    return np.array(
-        [
-            [np.exp(-0.5j * (alpha + gamma)) * c, -np.exp(-0.5j * (alpha - gamma)) * s],
-            [np.exp(0.5j * (alpha - gamma)) * s, np.exp(0.5j * (alpha + gamma)) * c],
-        ]
-    )
-
-
-def su2_to_euler(u):
-    u = np.asarray(u)
-    beta = 2.0 * math.atan2(abs(u[1, 0]), abs(u[0, 0]))
-    # alpha + gamma and alpha - gamma each come from the phase of one
-    # entry; where that entry vanishes, any phase rebuilds it
-    ssum = -2.0 * np.angle(u[0, 0])
-    sdif = 2.0 * np.angle(u[1, 0])
-    alpha = 0.5 * (ssum + sdif)
-    gamma = 0.5 * (ssum - sdif)
-    shift = alpha - (alpha % TWO_PI)
-    alpha -= shift
-    gamma = (gamma - shift) % (2.0 * TWO_PI)
-    return (alpha, beta, gamma)
-
-
-def euler_to_so3(angles):
-    alpha, beta, gamma = (float(a) for a in angles)
-
-    def rz(t):
-        c, s = math.cos(t), math.sin(t)
-        return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-    def ry(t):
-        c, s = math.cos(t), math.sin(t)
-        return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-
-    return rz(alpha) @ ry(beta) @ rz(gamma)
-
-
-def so3_to_euler(r):
-    r = np.asarray(r)
-    beta = math.atan2(math.hypot(r[0, 2], r[1, 2]), r[2, 2])
-    # alpha from the third column; gamma from the upper 2 x 2 block,
-    # which is (1 + cos beta) / 2 times the rotation by alpha + gamma plus
-    # (1 - cos beta) / 2 times a reflection by alpha - gamma: read the term
-    # that does not vanish, so the angles rebuild r near beta = 0 and pi
-    alpha = math.atan2(r[1, 2], r[0, 2])
-    if r[2, 2] >= 0:
-        gamma = math.atan2(r[1, 0] - r[0, 1], r[0, 0] + r[1, 1]) - alpha
-    else:
-        gamma = alpha - math.atan2(-(r[1, 0] + r[0, 1]), r[1, 1] - r[0, 0])
-    return (alpha % TWO_PI, beta, gamma % TWO_PI)
-
-
-def compose_euler(spec, g1, g2):
-    """Euler angles of the product of two elements given in Euler angles."""
-    if spec.family == "torus":
-        return tuple(
-            (a + b) % TWO_PI for a, b in zip(np.atleast_1d(g1), np.atleast_1d(g2))
-        )
-    if spec.family == "su2":
-        return su2_to_euler(euler_to_su2(g1) @ euler_to_su2(g2))
-    return so3_to_euler(euler_to_so3(g1) @ euler_to_so3(g2))
+# Group elements
 
 
 def identity_element(spec):
@@ -311,6 +229,20 @@ class GroupGrid:
             return np.meshgrid(*axes, indexing="ij")
         return np.meshgrid(self.alpha, self.beta, self.gamma, indexing="ij")
 
+    @cached_property
+    def euler_tables(self):
+        """exp(+i m alpha), exp(+i n gamma) for 2m, 2n in [-T, T], T the top 2j (band
+        on SU(2), 2 band on SO(3)), and the little-d stack up to T of the dual's
+        parities; built on first use, SU(2) and SO(3) only, every array read-only."""
+        two_band = 2 * self.band if self.spec.family == "so3" else self.band
+        twice = np.arange(-two_band, two_band + 1)
+        ea = np.exp(0.5j * np.outer(twice, self.alpha))
+        eg = np.exp(0.5j * np.outer(twice, self.gamma))
+        dstack = wigner_d_all(two_band, self.beta, SPIN_PARITIES[self.spec.family])
+        for arr in (ea, eg, *dstack.values()):
+            arr.flags.writeable = False
+        return ea, eg, dstack
+
 
 def build_grid(spec, band):
     """Grid exact for products of two coefficients of band-limited data.
@@ -355,14 +287,6 @@ def band_for_catalog(catalog):
     """Smallest grid band holding every class of the catalog: the largest
     |label entry|, which is |k_i| on the torus and the label otherwise."""
     return int(np.abs(np.array(catalog.labels)).max(initial=0))
-
-
-def haar_integrate(grid, values):
-    """Haar integral of grid samples, deterministic reduction order."""
-    values = np.asarray(values)
-    if values.shape != grid.shape:
-        raise DomainError("sample shape %r does not match grid %r" % (values.shape, grid.shape))
-    return tree_sum(values * grid.weights())
 
 
 def sample_function(grid, fn):

@@ -19,7 +19,9 @@ from gevreykit.calculus import (
 from gevreykit.errors import DomainError
 from gevreykit.fourier import CoefficientField, inverse_transform, plancherel_norm
 from gevreykit.groups import GroupSpec, enumerate_dual
-from gevreykit.quadrature import random_element, su2_to_euler, euler_to_su2
+from gevreykit.quadrature import random_element
+
+from euler_algebra import euler_to_su2, su2_to_euler
 
 PAULI = [
     np.array([[0, 1], [1, 0]], dtype=complex),

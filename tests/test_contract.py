@@ -34,6 +34,7 @@ from gevreykit import (
     lp_norm,
     p_alpha_symbol,
     perfectness_roundtrip,
+    plancherel_norm,
     project_class_one,
     series_convergence_probe,
     sobolev_norm,
@@ -95,6 +96,21 @@ SCALARS = {
     # not exported: the matrix norms behind `probe --lemma norms`
     "matrix_lp_norm-p": (REAL, 2.0, lambda v: matrix_lp_norm(np.eye(3), v)),
     "matrix_norm_slacks-p": (REAL, 1.0, lambda v: matrix_norm_slacks(np.eye(3), v, 2)),
+}
+
+# Finite arguments past the double range: the exact result of each call
+# overflows a double, or underflows to 0 where it is not 0 (the weighted
+# l^p norm of a nonzero field is at least its l^inf norm for every p)
+SU2_CAT = enumerate_dual(GroupSpec("su2"), 10.0)
+SU2_F = synthesize_gevrey(SU2_CAT, 2.0, 1.0)
+EXTREMES = {
+    "laplacian_power_apply-k": ((400, 10**6), lambda v: laplacian_power_apply(SU2_F, v)),
+    "sobolev_norm-t": ((400.0, -400.0, 1e308, -1e308), lambda v: sobolev_norm(SU2_F, v)),
+    "series_convergence_probe-t": (
+        (400.0, -400.0, 1e308, -1e308), lambda v: series_convergence_probe(SU2_CAT, v)),
+    "lp_norm-p": ((1000, 1e308), lambda v: lp_norm(SU2_F, v)),
+    "plancherel_norm-coeffs.scaled": ((1e300,), lambda v: plancherel_norm(SU2_F.scaled(v))),
+    "lp_norm-coeffs.scaled": ((1e300,), lambda v: lp_norm(SU2_F.scaled(v), 2)),
 }
 
 # Parameters that take no scalar, by name, and what they take instead
@@ -170,6 +186,20 @@ def test_scalar_is_refused_or_gives_a_finite_result(key, bad):
     except GevreyKitError:
         return
     assert _finite(result), (key, bad)
+
+
+EXTREME_CASES = [(key, value) for key, (values, _) in EXTREMES.items() for value in values]
+
+
+@pytest.mark.parametrize("key,value", EXTREME_CASES, ids=["%s-%r" % case for case in EXTREME_CASES])
+def test_finite_extremes_are_refused_or_give_a_finite_result(key, value):
+    try:
+        result = EXTREMES[key][1](value)
+    except GevreyKitError:
+        return
+    assert _finite(result), (key, value)
+    if key == "lp_norm-p":
+        assert result >= lp_norm(SU2_F, math.inf) * (1.0 - 1e-12)
 
 
 @pytest.mark.parametrize("key", SCALARS)

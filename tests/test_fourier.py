@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -32,6 +34,8 @@ from gevreykit.quadrature import (
     wigner_d_all,
 )
 
+from euler_algebra import haar_integrate
+
 FAMILIES = [
     (GroupSpec("torus", 1), 12.0),
     (GroupSpec("torus", 2), 6.0),
@@ -60,8 +64,6 @@ def test_round_trip_and_parseval(spec, cutoff):
     for rep in cat:
         assert np.abs(back[rep.label] - coeffs[rep.label]).max() < 1e-12
     # Parseval: the grid L2 norm matches the weighted coefficient norm
-    from gevreykit.quadrature import haar_integrate
-
     l2 = math.sqrt(abs(haar_integrate(grid, np.abs(samples) ** 2)))
     assert l2 == pytest.approx(plancherel_norm(coeffs), rel=1e-12)
 
@@ -328,7 +330,6 @@ def test_d_stacks_ask_for_the_parities_of_the_dual(monkeypatch):
 
     monkeypatch.setattr(quadrature, "wigner_d_all", recording)
     monkeypatch.setattr(fourier, "wigner_d_all", recording)
-    monkeypatch.setattr(quadrature, "_DSTACK_CACHE", {})
     rng = np.random.default_rng(25)
     for key, parities in (("SO3", (0,)), ("SU2", (0, 1))):
         cat = SERIES_CATALOGS[key]
@@ -344,6 +345,38 @@ def test_d_stacks_ask_for_the_parities_of_the_dual(monkeypatch):
     for two_j in range(6):
         quadrature.wigner_d_matrix(two_j, np.array([0.4]))
     assert calls == [(two_j, (two_j % 2,)) for two_j in range(6)]
+
+
+@pytest.mark.parametrize("key", ["SU2", "SO3"])
+def test_each_grid_builds_its_euler_tables_once_and_frees_them_with_itself(monkeypatch, key):
+    calls = []
+
+    def recording(two_jmax, beta, *parities):
+        calls.append((two_jmax, len(beta), parities[0] if parities else (0, 1)))
+        return wigner_d_all(two_jmax, beta, *parities)
+
+    monkeypatch.setattr(quadrature, "wigner_d_all", recording)
+    cat = SERIES_CATALOGS[key]
+    grid = build_grid(cat.spec, band_for_catalog(cat))
+    top, parities = (2 * grid.band, (0,)) if key == "SO3" else (grid.band, (0, 1))
+    field = _random_field(cat, np.random.default_rng(27))
+    for _ in range(3):
+        forward_transform(grid, inverse_on_grid(field, grid), cat)
+    assert calls == [(top, grid.band + 1, parities)]
+    # a second grid of the same band builds its own tables
+    twin = build_grid(cat.spec, grid.band)
+    inverse_on_grid(field, twin)
+    assert calls == [(top, grid.band + 1, parities)] * 2
+    tables = grid.euler_tables
+    assert grid.euler_tables is tables and twin.euler_tables is not tables
+    ea, eg, dstack = tables
+    assert sorted(dstack) == [t for t in range(top + 1) if t % 2 in parities]
+    assert not any(a.flags.writeable for a in (ea, eg, *dstack.values()))
+    # the tables go with their grid
+    kept = weakref.ref(dstack[top])
+    del grid, tables, ea, eg, dstack
+    gc.collect()
+    assert kept() is None
 
 
 def _euler_entries_full_stack(catalog, grid):
@@ -386,8 +419,7 @@ def _inverse_oracle(coeffs, grid):
 
 @pytest.mark.parametrize("key", ["T1", "T2", "SU2", "SO3"])
 @pytest.mark.parametrize("extra_band", [0, 2])
-def test_grid_transforms_match_the_full_stack_kernels_bit_for_bit(monkeypatch, key, extra_band):
-    monkeypatch.setattr(quadrature, "_DSTACK_CACHE", {})
+def test_grid_transforms_match_the_full_stack_kernels_bit_for_bit(key, extra_band):
     cat = SERIES_CATALOGS[key]
     grid = build_grid(cat.spec, band_for_catalog(cat) + extra_band)
     rng = np.random.default_rng(26 + extra_band)

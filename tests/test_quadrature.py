@@ -13,20 +13,17 @@ from gevreykit.errors import ResourceError
 from gevreykit.groups import GroupSpec, enumerate_dual
 from gevreykit.quadrature import (
     build_grid,
-    compose_euler,
-    euler_to_so3,
-    euler_to_su2,
-    haar_integrate,
     identity_element,
     random_element,
     rep_matrix,
     sample_function,
-    so3_to_euler,
-    su2_to_euler,
     tree_sum,
     wigner_d_all,
     wigner_d_matrix,
 )
+
+from euler_algebra import (compose_euler, euler_to_so3, euler_to_su2, haar_integrate, so3_to_euler,
+                           su2_to_euler)
 
 
 def _angular_momentum(two_j):
@@ -161,24 +158,6 @@ def test_grid_kills_nonconstant_coefficients():
     assert abs(haar_integrate(grid, vals)) < 1e-13
 
 
-def test_dstack_cache_evicts_oldest_within_byte_budget(monkeypatch):
-    from gevreykit import quadrature
-
-    monkeypatch.setattr(quadrature, "_DSTACK_CACHE", {})
-    betas = [np.array([0.1 * i, 0.2 * i]) for i in range(1, 4)]
-    one = sum(a.nbytes for a in quadrature.wigner_d_all(4, betas[0]).values())
-    monkeypatch.setattr(quadrature, "DSTACK_CACHE_BYTES", 2 * one)
-    first = quadrature.wigner_d_cached(4, betas[0])
-    assert quadrature.wigner_d_cached(4, betas[0]) is first
-    quadrature.wigner_d_cached(4, betas[1])
-    quadrature.wigner_d_cached(4, betas[2])
-    kept = [key[1] for key in quadrature._DSTACK_CACHE]
-    assert kept == [betas[1].tobytes(), betas[2].tobytes()]
-    big = quadrature.wigner_d_cached(6, betas[0])
-    assert 6 in big
-    assert [key[1] for key in quadrature._DSTACK_CACHE] == kept
-
-
 def test_grid_sample_budget_refuses_before_building(monkeypatch):
     for spec, band, size in ((GroupSpec("torus", 2), 3, 49), (GroupSpec("su2"), 4, 1000),
                              (GroupSpec("so3"), 2, 216)):
@@ -208,8 +187,6 @@ def test_dstack_budget_refuses_before_allocating(monkeypatch):
 
 
 def test_one_parity_stack_is_the_full_stacks_entries_bit_for_bit(monkeypatch):
-    from gevreykit import quadrature
-
     x, _ = np.polynomial.legendre.leggauss(7)
     betas = np.concatenate([[0.0, -0.0, math.pi, math.pi - 1e-12, 1e-300], np.arccos(x)])
     for two_jmax in (0, 1, 39, 40):
@@ -225,12 +202,10 @@ def test_one_parity_stack_is_the_full_stacks_entries_bit_for_bit(monkeypatch):
     monkeypatch.setattr(groups, "FIELD_ENTRY_BUDGET", len(betas) * 1785 - 1)
     with pytest.raises(ResourceError, match="%d entries" % (len(betas) * 1785)):
         wigner_d_all(16, betas, (0,))
-    # the cache keeps each parity apart
+    # each grid keeps the stack of its dual's parities
     monkeypatch.undo()
-    monkeypatch.setattr(quadrature, "_DSTACK_CACHE", {})
-    even = quadrature.wigner_d_cached(4, betas, (0,))
-    assert sorted(even) == [0, 2, 4] and quadrature.wigner_d_cached(4, betas, (0,)) is even
-    assert sorted(quadrature.wigner_d_cached(4, betas)) == [0, 1, 2, 3, 4]
+    assert sorted(build_grid(GroupSpec("so3"), 2).euler_tables[2]) == [0, 2, 4]
+    assert sorted(build_grid(GroupSpec("su2"), 4).euler_tables[2]) == [0, 1, 2, 3, 4]
 
 
 def _seed_oracle(two_j, two_m, two_n, cb, sb):
