@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, IllPairedError, check_positive
+from .errors import DomainError, IllPairedError, check_positive, check_product
 from .fourier import CoefficientField, _require_same_catalog, inverse_transform
 from .gevrey import (
     HS_FLOOR,
@@ -93,8 +93,9 @@ def alpha_dual_series_probe(seq, s, B):
     check_positive("s", s)
     check_positive("B", B)
     hs = seq.hs_norms()[seq.present]
+    rates = check_product("B = %r" % B, B, seq.catalog.brackets[seq.present] ** (1.0 / s))
     with np.errstate(divide="ignore"):
-        return np.cumsum(np.exp(np.log(hs) - B * seq.catalog.brackets[seq.present] ** (1.0 / s)))
+        return np.cumsum(np.exp(np.log(hs) - rates))
 
 
 @dataclass(frozen=True)
@@ -162,7 +163,7 @@ def continuity_modulus(seq, s, epsilon_grid, battery):
     from scipy.special import gammaln  # on use: loading scipy.special costs a start-up 0.3 s
     check_positive("s", s)
     ks = np.arange(CONTINUITY_K_CAP + 1)
-    k_weight = s * gammaln(ks + 1.0)
+    k_weight = check_product("s = %r" % s, s, gammaln(ks + 1.0))
     paired = []
     for phi in battery:
         value = abs(pair(seq, phi))

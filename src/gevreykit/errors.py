@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the toolkit, one validator per kind
-of scalar argument the exported functions take, and one for results: each
-returns the value it accepts and refuses any other with a DomainError
-naming the argument.
+of scalar argument the exported functions take, and two for results that
+may leave the double range: each returns the value it accepts and refuses
+any other with a DomainError naming the argument.
 
 Exit-code mapping used by the CLI: usage errors -> 2, data errors -> 3,
 resource errors -> 4.
@@ -81,4 +81,12 @@ def check_in_range(what, result, nonzero=False):
     the way and is refused with a DomainError naming ``what`` ("t = 400.0")."""
     if np.isfinite(result).all() and (np.any(result) or not nonzero):
         return result
+    raise DomainError("%s takes the result outside the double range" % what)
+
+
+def check_product(what, scale, factors):
+    """``scale * factors`` when every product is a finite double, checked
+    before it is formed; any other is refused as check_in_range refuses."""
+    if abs(scale) <= np.finfo(float).max / np.max(np.abs(factors), initial=1.0):
+        return scale * factors
     raise DomainError("%s takes the result outside the double range" % what)

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, InsufficientDataError, check_int, check_positive
+from .errors import (DomainError, InsufficientDataError, check_in_range, check_int, check_positive,
+                     check_product)
 from .fourier import CoefficientField, diagonal_at, ranges
 
 HS_FLOOR = 1e-290
@@ -326,8 +327,10 @@ def space_side_test(coeffs, s, mode="roumieu"):
     idx = np.flatnonzero((hs > HS_FLOOR) & (cat.lambda_sq > 0.0))
     ks = np.arange(1, SPACE_K_MAX + 1)
     u, peaks = log_l1_bounds(cat, hs, idx, 2.0 * ks)
-    log_rho = (u - s * gammaln(2.0 * ks + 1.0)) / (2.0 * ks)
+    what = "s = %r" % s
+    log_rho = (u - check_product(what, s, gammaln(2.0 * ks + 1.0))) / (2.0 * ks)
     rho = np.array([math.exp(v) for v in log_rho.tolist()])
+    check_in_range(what, rho.min(), nonzero=True)  # each rho_k is positive
     usable = cat.brackets[peaks] < SATURATION_FRACTION * cat.brackets[idx].max()
     witness = cat.labels[peaks[-1]]
     extras = {"k": ks, "u": u, "rho": rho, "usable": usable}

@@ -173,9 +173,10 @@ def enumerate_dual(spec, cutoff):
     """
     if check_finite("cutoff", cutoff) < 1.0:
         raise DomainError("cutoff must be >= 1 so the trivial class is included")
-    # |k_i| <= |k| <= bracket on T^n, 2j < 2 bracket on SU(2) and
-    # l < bracket on SO(3)
-    top = math.floor(2 * cutoff if spec.family == "su2" else cutoff)
+    # |k_i| <= |k| <= bracket on T^n, 2j < 2 bracket on SU(2) and l < bracket on
+    # SO(3); a cutoff past the budget, refused below, is clamped (2 * 1e308 is inf)
+    reach = min(cutoff, CATALOG_CANDIDATE_BUDGET)
+    top = math.floor(2 * reach if spec.family == "su2" else reach)
     candidates = (2 * top + 1) ** spec.torus_dim if spec.family == "torus" else top + 1
     if candidates > CATALOG_CANDIDATE_BUDGET:
         raise ResourceError(

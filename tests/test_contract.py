@@ -2,7 +2,8 @@
 
 Every scalar parameter of every callable in gevreykit.__all__, and of the
 public methods of the exported classes, is fed NaN, +-inf, 0 and -1, plus
-1.5 and True where an integer is expected.  Each call either raises a
+1.5 and True where an integer is expected, and every real one the finite
+extremes +-400, 1000 and +-1e308.  Each call either raises a
 GevreyKitError or returns a finite result, and an integer parameter
 refuses every value that is not an int; any other exception, and any
 RuntimeWarning, fails the test.
@@ -11,6 +12,7 @@ RuntimeWarning, fails the test.
 import cmath
 import dataclasses
 import inspect
+import json
 import math
 import numbers
 
@@ -21,6 +23,7 @@ import gevreykit
 from gevreykit import (
     ClassIStructure,
     CoefficientField,
+    GevreyVerdict,
     GroupSpec,
     alpha_dual_series_probe,
     build_grid,
@@ -47,6 +50,7 @@ from gevreykit import (
 )
 from gevreykit.errors import GevreyKitError
 from gevreykit.fourier import matrix_lp_norm, matrix_norm_slacks
+from gevreykit.serialize import verdict_record
 
 CAT = enumerate_dual(GroupSpec("torus", 1), 200.0)
 PHI = synthesize_gevrey(CAT, 1.0, 1.0)
@@ -168,7 +172,8 @@ def _finite(x):
         return all(map(_finite, x))
     if dataclasses.is_dataclass(x):
         return all(_finite(getattr(x, f.name)) for f in dataclasses.fields(x))
-    return isinstance(x, str)
+    # None holds no number: a passing verdict's witness_label
+    return x is None or isinstance(x, str)
 
 
 CASES = [(key, bad) for key, (values, _, _) in SCALARS.items() for bad in values]
@@ -200,6 +205,28 @@ def test_finite_extremes_are_refused_or_give_a_finite_result(key, value):
     assert _finite(result), (key, value)
     if key == "lp_norm-p":
         assert result >= lp_norm(SU2_F, math.inf) * (1.0 - 1e-12)
+
+
+REAL_EXTREMES = (400.0, -400.0, 1000.0, 1e308, -1e308)
+REAL_EXTREME_CASES = [(key, value) for key, (values, _, _) in SCALARS.items() if values is REAL
+                      for value in REAL_EXTREMES]
+
+
+@pytest.mark.parametrize("key,value", REAL_EXTREME_CASES,
+                         ids=["%s-%r" % case for case in REAL_EXTREME_CASES])
+def test_real_rows_refuse_the_finite_extremes_or_give_a_result(key, value):
+    """A verdict may hold a designed margin of +-inf, which verdict_record
+    writes as a string; its JSON holds no NaN or infinity.  Any other
+    result is finite."""
+    try:
+        result = SCALARS[key][2](value)
+    except GevreyKitError:
+        return
+    parts = result.values() if isinstance(result, dict) else [result]
+    verdicts = [part for part in parts if isinstance(part, GevreyVerdict)]
+    for verdict in verdicts:
+        json.dumps(verdict_record(verdict), allow_nan=False)
+    assert verdicts or _finite(result), (key, value)
 
 
 @pytest.mark.parametrize("key", SCALARS)

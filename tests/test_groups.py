@@ -142,8 +142,10 @@ def test_candidate_budget_refuses_before_enumerating(monkeypatch):
                                     (GroupSpec("su2"), 12.4, 12.5),
                                     (GroupSpec("so3"), 24.9, 25.0)):
         assert len(enumerate_dual(spec, admitted)) > 0
-        with pytest.raises(ResourceError, match="25 candidate labels"):
-            enumerate_dual(spec, refused)
+        # 2 * 1e308 is inf, which the floor of the SU(2) count would fail on
+        for cutoff in (refused, 1e308):
+            with pytest.raises(ResourceError, match="25 candidate labels"):
+                enumerate_dual(spec, cutoff)
 
 
 def test_series_probe_refuses_non_finite_exponent():

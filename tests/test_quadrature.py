@@ -254,9 +254,10 @@ def _d_stack_oracle(two_jmax, beta):
 
 def test_wigner_d_stack_matches_the_pairwise_seeded_oracle_bit_for_bit():
     rng = np.random.default_rng(27)
-    edges = [0.0, 1e-300, 1e-8, math.pi / 2, math.pi - 1e-9, math.pi]
+    edges = [-0.0, 0.0, 1e-300, 1e-8, math.pi / 2, math.pi - 1e-9, math.pi]
+    # the last is one beta, the shape rep_matrix passes
     for betas in (np.concatenate([edges, rng.uniform(0.0, math.pi, 13)]),
-                  rng.uniform(0.0, math.pi, (3, 4))):
+                  rng.uniform(0.0, math.pi, (3, 4)), np.array([rng.uniform(0.0, math.pi)])):
         for two_jmax in (0, 1, 40, 61):
             ref = _d_stack_oracle(two_jmax, betas)
             for parities in ((0, 1), (0,), (1,)):
