@@ -330,7 +330,6 @@ def space_side_test(coeffs, s, mode="roumieu"):
     what = "s = %r" % s
     log_rho = (u - check_product(what, s, gammaln(2.0 * ks + 1.0))) / (2.0 * ks)
     rho = np.array([math.exp(v) for v in log_rho.tolist()])
-    check_in_range(what, rho.min(), nonzero=True)  # each rho_k is positive
     usable = cat.brackets[peaks] < SATURATION_FRACTION * cat.brackets[idx].max()
     witness = cat.labels[peaks[-1]]
     extras = {"k": ks, "u": u, "rho": rho, "usable": usable}
@@ -340,6 +339,8 @@ def space_side_test(coeffs, s, mode="roumieu"):
     if int(usable.sum()) < MIN_USABLE_K or len(early) == 0 or len(late) == 0:
         return _verdict(mode, s, -math.inf, witness,
                         flags=flags + ("saturated_spectrum",), extras=extras)
+    # each rho_k the margin reads is positive, so a 0 has left the double range
+    check_in_range(what, min(early.min(), late.min()), nonzero=True)
     if mode == "roumieu":
         margin = RHO_WINDOW_FACTOR * float(np.median(early)) / float(late.max()) - 1.0
     else:

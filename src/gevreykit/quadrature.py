@@ -113,6 +113,7 @@ def wigner_d_all(two_jmax, beta, parities=(0, 1)):
         for k, (two_m, two_n) in enumerate([(tm, tn) for tm in ms for tn in ms]):
             two_j = max(abs(two_m), abs(two_n))
             m, n = two_m / 2.0, two_n / 2.0
+            # a scalar zero, not an array: c1 * cur - 0.0 is c1 * cur bit for bit, -0.0 included
             prev, cur = 0.0, seeds[..., k]
             while True:
                 out[two_j][..., (two_j - two_m) // 2, (two_j - two_n) // 2] = cur
