@@ -7,13 +7,10 @@ word-ordered products.  The basis is fixed so that on SU(2) the flow of
 X_3 is the alpha Euler axis and [X_1, X_2] = X_3.
 """
 
-import math
-
 import numpy as np
 
 from .errors import DomainError, check_finite, check_in_range, check_int
-from .fourier import CoefficientField, _require_same_catalog, lp_norm, operator_norm
-from .quadrature import tree_sum
+from .fourier import CoefficientField, _dual_lp_norm, _require_same_catalog, lp_norm, operator_norm
 
 
 class Symbol(CoefficientField):
@@ -94,14 +91,12 @@ def p_alpha_symbol(word, k, catalog):
 
 
 def sobolev_norm(coeffs, t):
-    """(sum d <xi>^(2t) ||f_hat||_HS^2)^(1/2)."""
-    check_finite("t", t)
-    dims = coeffs.catalog.dims.astype(float)
-    brackets = coeffs.catalog.brackets
-    hs = coeffs.hs_norms()
-    with np.errstate(over="ignore", invalid="ignore"):
-        norm = math.sqrt(float(tree_sum(dims * brackets ** (2.0 * t) * hs * hs)))
-    return check_in_range("t = %r" % t, norm, nonzero=bool(hs.any()))
+    """(sum d <xi>^(2t) ||f_hat||_HS^2)^(1/2), the dual norm at p = 2 with
+    the log weights 2t log <xi>."""
+    t = float(check_finite("t", t))
+    # Python floats: t * 0 stays 0 on the trivial class, t * v past the range is +-inf, unwarned
+    log_weight = np.array([t * v for v in (2.0 * np.log(coeffs.catalog.brackets)).tolist()])
+    return _dual_lp_norm(coeffs, 2, "t = %r" % t, log_weight)
 
 
 def _multi_indices(n, total):

@@ -302,15 +302,8 @@ def cmd_verify(args):
             % (r.name, "PASS" if r.passed else "FAIL", r.seconds, r.detail),
             file=sys.stderr,
         )
-    payload = [
-        {
-            "name": r.name,
-            "pass": bool(r.passed),
-            "seconds": float(r.seconds),
-            "detail": r.detail,
-        }
-        for r in results
-    ]
+    payload = [{"name": r.name, "pass": r.passed, "seconds": r.seconds, "detail": r.detail}
+               for r in results]
     _emit(args, json.dumps(payload) + "\n")
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERDICT
 

@@ -15,11 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, IllPairedError, check_positive, check_product
-from .fourier import CoefficientField, _require_same_catalog, inverse_transform
+from .errors import DomainError, IllPairedError, check_in_range, check_positive, check_product
+from .fourier import CoefficientField, _exp, _logsumexp, _require_same_catalog, inverse_transform
 from .gevrey import (
     HS_FLOOR,
     _bracket_rates,
+    _check_order,
     _ls_line,
     _open_verdict,
     _tertile_slopes,
@@ -89,13 +90,14 @@ def ultra_membership_test(seq, s, mode):
 
 
 def alpha_dual_series_probe(seq, s, B):
-    """Partial sums of sum_xi e^{-B <xi>^(1/s)} ||v_xi||_HS in catalog order."""
-    check_positive("s", s)
-    check_positive("B", B)
+    """Partial sums of sum_xi e^{-B <xi>^(1/s)} ||v_xi||_HS in catalog order;
+    s is checked as the classifiers' order, and sums that underflow to all 0 are refused."""
+    _check_order(seq.catalog, s)
+    what = "s = %r, B = %r" % (s, check_positive("B", B))
     hs = seq.hs_norms()[seq.present]
-    rates = check_product("B = %r" % B, B, seq.catalog.brackets[seq.present] ** (1.0 / s))
-    with np.errstate(divide="ignore"):
-        return np.cumsum(np.exp(np.log(hs) - rates))
+    rates = check_product(what, B, seq.catalog.brackets[seq.present] ** (1.0 / s))
+    logs = np.log(hs, out=np.full(len(hs), -math.inf), where=hs > 0.0)
+    return check_in_range(what, np.cumsum(np.exp(logs - rates)), nonzero=bool(hs.any()))
 
 
 @dataclass(frozen=True)
@@ -107,24 +109,18 @@ class PairingDiagnostic:
 
 
 def _pairing_terms(seq, coeffs):
-    """d_xi Tr(phi_hat(xi) v_xi) on every class either holds, and their Cauchy check."""
+    """d_xi Tr(phi_hat(xi) v_xi) on every class either holds, and their Cauchy check
+    over brackets >= max/10 (a NaN share on a NaN total, all 0 on no brackets)."""
     _require_same_catalog(seq, coeffs)
     cat = seq.catalog
     keep = seq.present | coeffs.present
     # Tr(a b) sums a_mn b_nm
     terms = cat.dims * np.add.reduceat(coeffs.data * seq.data[cat.transposed], cat.offsets[:-1])
-    terms = terms[keep]
-    return terms, PairingDiagnostic(*_tail_share(np.abs(terms), cat.brackets[keep]))
-
-
-def _tail_share(mags, brackets):
-    """Cauchy check over the last decade of brackets: the total of ``mags``,
-    its part on brackets >= max/10, that part's share of the total (NaN on
-    a NaN total), and where the decade starts; all 0 on no brackets."""
+    terms, mags, brackets = terms[keep], np.abs(terms[keep]), cat.brackets[keep]
     total = float(mags.sum())
     cut = brackets.max(initial=0.0) / 10.0
     tail = float(mags[brackets >= cut].sum())
-    return total, tail, tail / total if total else 0.0, cut
+    return terms, PairingDiagnostic(total, tail, tail / total if total else 0.0, cut)
 
 
 def pairing_diagnostic(seq, coeffs):
@@ -188,14 +184,19 @@ def perfectness_roundtrip(coeffs, s, points=None):
     Checks that sum_xi e^{B' <xi>^(1/s)} ||w_xi|| is Cauchy (last-decade
     tail below 1e-6 relative) for every B' in PERFECTNESS_B_GRID, then
     re-sums the inversion series independently at the given points and
-    compares with inverse_transform.  s must be positive and finite.
+    compares with inverse_transform.  s is checked as the classifiers'
+    order; the total (inf past the double range) and the tail share are
+    _logsumexp differences, so the share is finite.
     """
-    check_positive("s", s)
+    _check_order(coeffs.catalog, s)
     brackets, logs, _ = bracket_profile(coeffs)
+    tail = brackets >= brackets.max(initial=0.0) / 10.0
     series = {}
     for bp in PERFECTNESS_B_GRID:
-        total, _, frac, _ = _tail_share(np.exp(logs + bp * brackets ** (1.0 / s)), brackets)
-        series[bp] = {"total": total, "tail_fraction": frac,
+        terms = logs + bp * brackets ** (1.0 / s)
+        log_total = _logsumexp(terms) if len(terms) else -math.inf
+        frac = _exp(_logsumexp(terms[tail]) - log_total) if len(terms) else 0.0
+        series[bp] = {"total": _exp(log_total), "tail_fraction": frac,
                       "converged": frac <= SERIES_TAIL_REL}
     all_converge = all(v["converged"] for v in series.values())
     if points is None:

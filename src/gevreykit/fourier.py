@@ -25,6 +25,7 @@ from .errors import (ContractViolation, DomainError, ResourceError, check_finite
 from .quadrature import SPIN_PARITIES, band_for_catalog, d_stack_entries, tree_sum, wigner_d_all
 
 SERIES_SLICE_ENTRIES = 1 << 18  # per array of an inverse_transform slice: 4 MB complex
+LOG_DBL_MAX = math.log(np.finfo(float).max)
 
 
 class CoefficientField:
@@ -292,31 +293,54 @@ def plancherel_inner(f, g):
     return tree_sum(terms) if len(terms) else 0.0 + 0.0j
 
 
-def plancherel_norm(coeffs):
-    """(sum_xi d_xi ||f_hat(xi)||_HS^2)^(1/2), fixed reduction order."""
-    dims = coeffs.catalog.dims.astype(float)
+def _logsumexp(a):
+    """log sum exp(a) of a finite 1-D float array, by the steps of
+    scipy.special.logsumexp (scipy 1.17) so the bits agree: the maxima
+    are kept out of the shifted sum, which is divided by their count
+    unless it is 0."""
+    top = a.max(keepdims=True)
+    is_top = a == top
+    count = is_top.sum(keepdims=True, dtype=float)
+    rest = np.exp(np.where(is_top, -math.inf, a) - top).sum(keepdims=True)
+    rest = np.where(rest == 0, rest, rest / count)
+    return (np.log1p(rest) + np.log(count) + top)[0]
+
+
+def _exp(v):
+    """e^v, or inf past the double range."""
+    return math.inf if v > LOG_DBL_MAX else math.exp(v)
+
+
+def _dual_lp_norm(coeffs, p, what, log_weight=None):
+    """(sum_xi w_xi d_xi^(p(2/p - 1/2)) ||f_hat(xi)||_HS^p)^(1/p), w = e^log_weight, at finite
+    p, as e^(m + L/p): L is the _logsumexp of p (x - m), x_xi the log of each term's p-th root
+    and m the largest x.  Terms e^1000 below it add 0 to L and are left out, so p (x - m) is
+    finite.  A norm past the double range is refused with check_in_range(what, ...)."""
     hs = coeffs.hs_norms()
-    with np.errstate(over="ignore"):
-        norm = math.sqrt(float(tree_sum(dims * hs * hs)))
-    return check_in_range("coeffs", norm, nonzero=bool(hs.any()))
+    at = hs > 0.0
+    x = (2.0 / p - 0.5) * np.log(coeffs.catalog.dims[at]) + np.log(hs[at])
+    if log_weight is not None:
+        x = x + log_weight[at] / p
+    top = x.max(initial=-math.inf)
+    if math.isfinite(top):
+        top = top + _logsumexp(p * (x[x - top > -1e3 / p] - top)) / p
+    return check_in_range(what, _exp(top), nonzero=bool(at.any()))
+
+
+def plancherel_norm(coeffs):
+    """(sum_xi d_xi ||f_hat(xi)||_HS^2)^(1/2), the dual norm at p = 2."""
+    return _dual_lp_norm(coeffs, 2, "coeffs")
 
 
 def lp_norm(coeffs, p):
-    """Norm in l^p of the dual with the dimension weight d^(p(2/p - 1/2)).
-
-    p = infinity uses sup over classes of d^(-1/2) ||f_hat||_HS.
-    """
-    check_norm_exponent("p", p)
-    dims = coeffs.catalog.dims.astype(float)
+    """Norm in l^p of the dual with the dimension weight d^(p(2/p - 1/2));
+    p = infinity uses sup over classes of d^(-1/2) ||f_hat||_HS."""
+    what = "p = %r on these coeffs" % check_norm_exponent("p", p)
+    if p < math.inf:
+        return _dual_lp_norm(coeffs, p, what)
     hs = coeffs.hs_norms()
-    with np.errstate(over="ignore", invalid="ignore"):
-        if p == math.inf:
-            vals = hs / np.sqrt(dims)
-            norm = float(vals.max()) if len(vals) else 0.0
-        else:
-            weights = dims ** (p * (2.0 / p - 0.5))
-            norm = float(tree_sum(weights * hs**p)) ** (1.0 / p)
-    return check_in_range("p = %r on these coeffs" % p, norm, nonzero=bool(hs.any()))
+    norm = float((hs / np.sqrt(coeffs.catalog.dims)).max(initial=0.0))
+    return check_in_range(what, norm, nonzero=bool(hs.any()))
 
 
 def hausdorff_young_gap(grid, samples, coeffs, synth):

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import (DomainError, InsufficientDataError, check_in_range, check_int, check_positive,
                      check_product)
-from .fourier import CoefficientField, diagonal_at, ranges
+from .fourier import LOG_DBL_MAX, CoefficientField, _exp, _logsumexp, diagonal_at, ranges
 
 HS_FLOOR = 1e-290
 S_GRID = np.round(np.arange(0.2, 5.0 + 1e-9, 0.01), 10)
@@ -34,7 +34,6 @@ SATURATION_FRACTION = 0.95
 MIN_USABLE_K = 6
 SPACE_K_MAX = 16
 PROFILES = ("diagonal", "dense", "random_phase")
-LOG_DBL_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -50,7 +49,7 @@ class DecayModel:
     @property
     def K(self):
         """exp(log_K), or inf where that overflows."""
-        return math.inf if self.log_K > LOG_DBL_MAX else math.exp(self.log_K)
+        return _exp(self.log_K)
 
 
 @dataclass(frozen=True)
@@ -273,19 +272,6 @@ def fourier_side_test(coeffs, s, mode):
         floor = max(b_mid, b_lo, B_MIN)
         margin = b_top / (BEURLING_SLOPE_RATIO * floor) - 1.0
     return _verdict(mode, s, margin, witness, model=model, flags=flags, extras=extras)
-
-
-def _logsumexp(a):
-    """log sum exp(a) of a finite 1-D float array, by the steps of
-    scipy.special.logsumexp (scipy 1.17) so the bits agree: the maxima
-    are kept out of the shifted sum, which is divided by their count
-    unless it is 0."""
-    top = a.max(keepdims=True)
-    is_top = a == top
-    count = is_top.sum(keepdims=True, dtype=float)
-    rest = np.exp(np.where(is_top, -math.inf, a) - top).sum(keepdims=True)
-    rest = np.where(rest == 0, rest, rest / count)
-    return (np.log1p(rest) + np.log(count) + top)[0]
 
 
 def log_l1_bounds(catalog, hs, idx, powers):

@@ -22,6 +22,8 @@ from .gevrey import _check_order, _norm_mode, _verdict, fourier_side_test
 from .duality import ultra_membership_test
 
 LEAKAGE_TOL = 1e-12
+# looser: the classifiers take raw transforms of lifted samples, as check_sphere does
+VERDICT_LEAKAGE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -36,22 +38,20 @@ class ClassIStructure:
         """Row index of the m = 0 vector in the descending-m basis."""
         return self.catalog.lookup(label).label[0]
 
-def _off_class_one(coeffs, structure):
-    """Mask of the packed entries outside each block's invariant row."""
-    row = coeffs.catalog.entry_index[0]
-    inv = [structure.invariant_index(label) for label in coeffs.catalog.labels]
-    return row != np.repeat(inv, np.diff(coeffs.catalog.offsets))
+def _off_class_one(catalog):
+    """Mask of the packed entries outside each SO(3) block's invariant row, m = 0."""
+    return catalog.entry_weights[1] != 0
 
 
 def project_class_one(coeffs, structure):
     """Zero every coefficient row other than the invariant one."""
-    data = np.where(_off_class_one(coeffs, structure), 0, coeffs.data)
+    data = np.where(_off_class_one(coeffs.catalog), 0, coeffs.data)
     return CoefficientField(coeffs.catalog, data=data, present=coeffs.present.copy())
 
 
 def leakage(coeffs, structure):
     """Largest magnitude outside the class-I rows."""
-    return float(np.abs(coeffs.data[_off_class_one(coeffs, structure)]).max(initial=0.0))
+    return float(np.abs(coeffs.data[_off_class_one(coeffs.catalog)]).max(initial=0.0))
 
 
 def lift(sphere_samples, grid):
@@ -94,11 +94,11 @@ def _class_one_verdict(test, coeffs, structure, s, mode):
     if s < 1:
         raise DomainError("homogeneous-space tests require s >= 1")
     _check_order(coeffs.catalog, s)
-    off = np.where(_off_class_one(coeffs, structure), np.abs(coeffs.data), 0.0)
+    off = np.where(_off_class_one(coeffs.catalog), np.abs(coeffs.data), 0.0)
     worst = np.maximum.reduceat(off, coeffs.catalog.offsets[:-1])
-    if worst.max() > 1e-10:
+    if worst.max() > VERDICT_LEAKAGE_TOL:
         return _verdict(_norm_mode(mode), s, -float(worst.max()),
-                        coeffs.catalog.labels[np.flatnonzero(worst > 1e-10)[0]],
+                        coeffs.catalog.labels[np.flatnonzero(worst > VERDICT_LEAKAGE_TOL)[0]],
                         flags=("class_one_leakage",))
     return test(project_class_one(coeffs, structure), s, mode)
 

@@ -34,7 +34,7 @@ def _timed(fn):
     def wrapper():
         t0 = time.perf_counter()
         passed, detail = fn()
-        return CheckResult(fn.__name__.removeprefix("check_"), passed, detail,
+        return CheckResult(fn.__name__.removeprefix("check_"), bool(passed), detail,
                            time.perf_counter() - t0)
 
     return wrapper

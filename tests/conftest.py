@@ -1,4 +1,5 @@
 import gc
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -33,13 +34,38 @@ def gc_left_enabled():
         pytest.fail("the test left the cyclic garbage collector disabled")
 
 
+def _head_counts():
+    """Line counts of the src/gevreykit modules at git HEAD, or None outside
+    a git checkout (an archive copy has no .git)."""
+    root = SOURCE.parent.parent
+    if not (root / ".git").exists():
+        return None
+
+    def git(*args):
+        return subprocess.run(["git", "-C", str(root), *args], capture_output=True, text=True,
+                              check=True).stdout
+
+    try:
+        names = git("ls-tree", "--name-only", "HEAD", "src/gevreykit/").split()
+        return {Path(n).stem: len(git("show", "HEAD:" + n).splitlines())
+                for n in names if n.endswith(".py")}
+    except (OSError, subprocess.CalledProcessError):
+        return None
+
+
 def pytest_terminal_summary(terminalreporter, config):
-    """One line of src/gevreykit line counts per module and in total and,
-    when the shared quick suite or the README pipelines ran, one line each
-    of their seconds; they report only and gate nothing."""
+    """One line of src/gevreykit line counts per module and in total, one of
+    each module's change against git HEAD inside a git checkout and, when
+    the shared quick suite or the README pipelines ran, one line each of
+    their seconds; they report only and gate nothing."""
     counts = {p.stem: len(p.read_text().splitlines()) for p in sorted(SOURCE.glob("*.py"))}
     terminalreporter.write_line("src/gevreykit lines: %s; total %d" % (
         ", ".join("%s %d" % kv for kv in counts.items()), sum(counts.values())))
+    head = _head_counts()
+    if head is not None:
+        delta = {m: counts.get(m, 0) - head.get(m, 0) for m in sorted(counts.keys() | head.keys())}
+        terminalreporter.write_line("src/gevreykit lines against HEAD: %s; total %+d" % (
+            ", ".join("%s %+d" % kv for kv in delta.items()), sum(delta.values())))
     results = config.stash.get(QUICK_RESULTS, None)
     if results is not None:
         terminalreporter.write_line("quick suite seconds: %s; total %.1f" % (

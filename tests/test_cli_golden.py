@@ -172,7 +172,7 @@ GOLDEN = {
     "data-pair-tail": "5da93d16ad6ff28e48e31947d9d61663b39fb5c662b1125ea98c9913f35cdd3f",
     "data-sphere-short": "5da93d16ad6ff28e48e31947d9d61663b39fb5c662b1125ea98c9913f35cdd3f",
     "pair": "fd7f5d202d05814bb60260b601779831e6d5dc4330a18cd209b095f698e05cc6",
-    "probe-hy": "ecd63026ec155f2df220f0c51db42bc55ff4724804d2c00899ae36b9fda59439",
+    "probe-hy": "f93eddf23bb4d7efe733f0facbb4dba631ae0074d3ece9da2fe1d7393f445eba",
     "probe-hy-torus-default": "e13f42678858afec9ff1a56c49732a4ee971370ec172e68da6cdfa389610189c",
     "probe-norms": "eb00d2d0f18475a3f677ca72b51aec3b7de05499ccc053ae3cdcb05bded73c9c",
     "probe-norms-default": "bf5a9e4e9d41d6f7209c19d1501f5e8eb27c67861878f2e4dc95bd3900dbd347",

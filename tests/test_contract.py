@@ -2,11 +2,12 @@
 
 Every scalar parameter of every callable in gevreykit.__all__, and of the
 public methods of the exported classes, is fed NaN, +-inf, 0 and -1, plus
-1.5 and True where an integer is expected, and every real one the finite
-extremes +-400, 1000 and +-1e308.  Each call either raises a
-GevreyKitError or returns a finite result, and an integer parameter
-refuses every value that is not an int; any other exception, and any
-RuntimeWarning, fails the test.
+1.5 and True where an integer is expected, every real one the finite
+extremes +-400, 1000 and +-1e308, and every order s the small positive
+1e-3, at which <xi>^(1/s) overflows on the torus catalog.  Each call
+either raises a GevreyKitError or returns a finite result, and an
+integer parameter refuses every value that is not an int; any other
+exception, and any RuntimeWarning, fails the test.
 """
 
 import cmath
@@ -113,8 +114,16 @@ EXTREMES = {
     "series_convergence_probe-t": (
         (400.0, -400.0, 1e308, -1e308), lambda v: series_convergence_probe(SU2_CAT, v)),
     "lp_norm-p": ((1000, 1e308), lambda v: lp_norm(SU2_F, v)),
-    "plancherel_norm-coeffs.scaled": ((1e300,), lambda v: plancherel_norm(SU2_F.scaled(v))),
-    "lp_norm-coeffs.scaled": ((1e300,), lambda v: lp_norm(SU2_F.scaled(v), 2)),
+    "plancherel_norm-coeffs.scaled": (
+        (1e-160, 1e300), lambda v: plancherel_norm(SU2_F.scaled(v))),
+    "lp_norm-coeffs.scaled": ((1e-160, 1e300), lambda v: lp_norm(SU2_F.scaled(v), 2)),
+    "alpha_dual_series_probe-B": ((1e5,), lambda v: alpha_dual_series_probe(DELTA, 2.0, v)),
+}
+
+# Rows whose exact value is a finite double: a refusal fails them too
+REQUIRED = {
+    "plancherel_norm-coeffs.scaled": lambda v: v * plancherel_norm(SU2_F),
+    "lp_norm-coeffs.scaled": lambda v: v * lp_norm(SU2_F, 2),
 }
 
 # Parameters that take no scalar, by name, and what they take instead
@@ -176,7 +185,9 @@ def _finite(x):
     return x is None or isinstance(x, str)
 
 
-CASES = [(key, bad) for key, (values, _, _) in SCALARS.items() for bad in values]
+SMALL_ORDER = 1e-3
+CASES = ([(key, bad) for key, (values, _, _) in SCALARS.items() for bad in values]
+         + [(key, SMALL_ORDER) for key in SCALARS if key.endswith("-s")])
 
 
 @pytest.mark.parametrize("key,bad", CASES, ids=["%s-%r" % case for case in CASES])
@@ -198,6 +209,9 @@ EXTREME_CASES = [(key, value) for key, (values, _) in EXTREMES.items() for value
 
 @pytest.mark.parametrize("key,value", EXTREME_CASES, ids=["%s-%r" % case for case in EXTREME_CASES])
 def test_finite_extremes_are_refused_or_give_a_finite_result(key, value):
+    if key in REQUIRED:
+        assert EXTREMES[key][1](value) == pytest.approx(REQUIRED[key](value), rel=1e-12, abs=0.0)
+        return
     try:
         result = EXTREMES[key][1](value)
     except GevreyKitError:
@@ -205,6 +219,9 @@ def test_finite_extremes_are_refused_or_give_a_finite_result(key, value):
     assert _finite(result), (key, value)
     if key == "lp_norm-p":
         assert result >= lp_norm(SU2_F, math.inf) * (1.0 - 1e-12)
+    if key == "alpha_dual_series_probe-B":
+        # every exact term is positive, so partial sums that are all 0 have underflowed
+        assert result[-1] > 0.0
 
 
 REAL_EXTREMES = (400.0, -400.0, 1000.0, 1e308, -1e308)

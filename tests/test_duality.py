@@ -224,6 +224,17 @@ def test_perfectness_roundtrip_on_a_field_with_no_norm_above_the_floor(spec, cut
         assert out["resynthesis_mismatch"] == 0.0
 
 
+def test_perfectness_tail_share_is_finite_where_the_series_total_overflows():
+    # at s = 0.3, e^{B' <xi>^(1/s)} passes the double range well below the top bracket
+    out = perfectness_roundtrip(synthesize_gevrey(enumerate_dual(T1, 200.0), 2.0, 1.0), 0.3)
+    for bp in (0.25, 0.5):
+        series = out["series"][bp]
+        assert series["total"] == math.inf
+        assert 0.0 < series["tail_fraction"] <= 1.0
+        assert not series["converged"]
+    assert not out["converged"] and not out["passed"]
+
+
 def test_pair_refuses_non_finite_terms():
     # 1e300 * 1e300 overflows, and inf / inf would slip past the tail check
     cat = enumerate_dual(T1, 10.0)

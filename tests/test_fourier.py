@@ -22,6 +22,7 @@ from gevreykit.fourier import (
     plancherel_inner,
     plancherel_norm,
 )
+from gevreykit.gevrey import synthesize_gevrey
 from gevreykit.groups import GroupSpec, enumerate_dual
 from gevreykit.quadrature import (
     band_for_catalog,
@@ -131,6 +132,16 @@ def test_lp_norm_weights():
     assert lp_norm(coeffs, math.inf) == pytest.approx(sup, rel=1e-12)
     with pytest.raises(DomainError):
         lp_norm(coeffs, 0.5)
+
+
+@pytest.mark.parametrize("p", [740, 745])
+def test_lp_norm_at_large_p_matches_an_fsum_oracle(p):
+    # each term's p-th power is subnormal or 0; the oracle scales by the largest term
+    f = synthesize_gevrey(enumerate_dual(GroupSpec("su2"), 10.0), 2.0, 1.0)
+    terms = [r.dim ** (2.0 / p - 0.5) * hs_norm(f[r.label]) for r in f.catalog]
+    top = max(terms)
+    want = top * math.fsum((t / top) ** p for t in terms) ** (1.0 / p)
+    assert lp_norm(f, p) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("spec,cutoff", FAMILIES)

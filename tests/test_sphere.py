@@ -13,6 +13,7 @@ from gevreykit.quadrature import build_grid
 from gevreykit.sphere import (
     LEAKAGE_TOL,
     ClassIStructure,
+    _off_class_one,
     leakage,
     lift,
     project_class_one,
@@ -27,6 +28,13 @@ SO3 = GroupSpec("so3")
 def _setup(lmax):
     cat = enumerate_dual(SO3, math.sqrt(1.0 + lmax * (lmax + 1.0)))
     return cat, build_grid(SO3, lmax), ClassIStructure(cat)
+
+
+def test_off_class_one_mask_is_each_label_s_invariant_row():
+    cat, _, struct = _setup(8)
+    inv = [struct.invariant_index(label) for label in cat.labels]
+    want = cat.entry_index[0] != np.repeat(inv, np.diff(cat.offsets))
+    assert np.array_equal(_off_class_one(cat), want)
 
 
 def test_spherical_harmonic_round_trip():
