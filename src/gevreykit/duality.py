@@ -185,8 +185,8 @@ def perfectness_roundtrip(coeffs, s, points=None):
     tail below 1e-6 relative) for every B' in PERFECTNESS_B_GRID, then
     re-sums the inversion series independently at the given points and
     compares with inverse_transform.  s is checked as the classifiers'
-    order; the total (inf past the double range) and the tail share are
-    _logsumexp differences, so the share is finite.
+    order; the tail share is a _logsumexp difference, so it is finite
+    where the series total is past the double range.
     """
     _check_order(coeffs.catalog, s)
     brackets, logs, _ = bracket_profile(coeffs)
@@ -194,10 +194,8 @@ def perfectness_roundtrip(coeffs, s, points=None):
     series = {}
     for bp in PERFECTNESS_B_GRID:
         terms = logs + bp * brackets ** (1.0 / s)
-        log_total = _logsumexp(terms) if len(terms) else -math.inf
-        frac = _exp(_logsumexp(terms[tail]) - log_total) if len(terms) else 0.0
-        series[bp] = {"total": _exp(log_total), "tail_fraction": frac,
-                      "converged": frac <= SERIES_TAIL_REL}
+        frac = _exp(_logsumexp(terms[tail]) - _logsumexp(terms)) if len(terms) else 0.0
+        series[bp] = {"tail_fraction": frac, "converged": frac <= SERIES_TAIL_REL}
     all_converge = all(v["converged"] for v in series.values())
     if points is None:
         points = [identity_element(coeffs.catalog.spec)]

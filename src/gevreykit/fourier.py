@@ -362,12 +362,13 @@ def hausdorff_young_gap(grid, samples, coeffs, synth):
 
 
 def matrix_lp_norm(a, p):
-    """Entrywise l^p norm of a matrix; p=2 is the Hilbert-Schmidt norm."""
-    a = np.asarray(a)
+    """Entrywise l^p norm of a matrix, scaled by its largest |entry| as hs_norm is."""
+    a = np.abs(np.asarray(a))
     check_norm_exponent("p", p)
-    if p == math.inf:
-        return float(np.abs(a).max())
-    return float(np.sum(np.abs(a) ** p) ** (1.0 / p))
+    peak = float(a.max()) if a.size else 0.0
+    if p == math.inf or peak == 0.0 or not math.isfinite(peak):
+        return peak
+    return peak * float(np.sum((a / peak) ** p) ** (1.0 / p))
 
 
 def hs_norm(a):

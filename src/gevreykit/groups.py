@@ -232,9 +232,9 @@ def series_convergence_probe(catalog, t):
     check_finite("t", t)
     br = catalog.brackets
     d = catalog.dims.astype(float)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # a term or a partial sum past the double range is refused
         terms = d * d * br ** (-2.0 * t)
-    sums = np.cumsum(terms)
+        sums = np.cumsum(terms)
     total = check_in_range("t = %r" % t, float(sums[-1]), nonzero=True)
     last_rel = float(terms[-1] / total)
     return {"terms": terms, "partial_sums": sums, "last_relative_increment": last_rel}

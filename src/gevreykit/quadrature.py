@@ -55,19 +55,21 @@ def _d_seeds(two_ms, cb, sb):
     on the last axis; cb, sb are cos(beta/2), sin(beta/2).  Each is exp(lc) cb^p
     (+-sb)^q, lc = (ln(2j)! - ln p! - ln q!) / 2, where (p, q, sign) is (j+n, j-n, -)
     on m = j, (j-n, j+n, +) on m = -j, (j+m, j-m, +) on n = j and (j-m, j+m, -) on
-    n = -j, the first border that holds.
+    n = -j, the first border that holds.  ln k! is one gammaln call on k = 0..max 2j.
     """
     from scipy.special import gammaln  # on use: loading scipy.special costs a start-up 0.3 s
-    tm, tn = (a.ravel() for a in np.meshgrid(*[np.array(two_ms, int)] * 2, indexing="ij"))
+    two_ms = np.array(two_ms, int)
+    tm, tn = np.repeat(two_ms, two_ms.size), np.tile(two_ms, two_ms.size)
     two_j = np.maximum(abs(tm), abs(tn))
     on_m = abs(tm) == two_j
     up = np.where(on_m, tm, tn) == two_j  # the border is m = j or n = j
     p = (two_j + np.where(up, 1, -1) * np.where(on_m, tn, tm)) // 2
     q = two_j - p
-    lc = 0.5 * (gammaln(two_j + 1) - gammaln(p + 1) - gammaln(q + 1))
+    ks = range(int(two_j.max(initial=0)) + 1)
+    ln_fact = gammaln(np.arange(1, len(ks) + 1))
+    lc = 0.5 * (ln_fact[two_j] - ln_fact[p] - ln_fact[q])
     # a scalar exponent per power keeps numpy's x ** k fast paths, and -sin(beta/2)
     # is raised on its own: a vectorised pow of -x can differ from x in the last bit
-    ks = range(int(two_j.max(initial=0)) + 1)
     cos_pow, sin_pow, neg_pow = (np.stack([x ** float(k) for k in ks], -1) for x in (cb, sb, -sb))
     return np.exp(lc) * cos_pow[..., p] * np.where(up == on_m, neg_pow[..., q], sin_pow[..., q])
 
@@ -82,6 +84,9 @@ def wigner_d_all(two_jmax, beta, parities=(0, 1)):
 
     Each (m, n) starts from its closed-form seed at j = max(|m|, |n|), one _d_seeds
     pass per parity, and a three-term recursion steps its 2j by 2: parities never mix.
+    What a step needs and no chain changes is formed once: j, j + 1, 2j + 1, j^2, (j + 1)^2
+    and j (j + 1) cos(beta) per parity and 2j, and mn, m^2, n^2 per chain.  Each is formed
+    by the step's own operations in the same order, so no entry moves by a bit.
 
     Parameters
     ----------
@@ -110,23 +115,28 @@ def wigner_d_all(two_jmax, beta, parities=(0, 1)):
     for parity in parities:
         ms = range(-two_jmax + ((two_jmax - parity) % 2), two_jmax + 1, 2)
         seeds = _d_seeds(ms, cb, sb)
+        steps = {}  # 2j > 0: the parts of its step that no chain changes
+        for two_j in range(2 - parity, two_jmax - 1, 2):
+            j = two_j / 2.0
+            jp = j + 1.0
+            steps[two_j] = (j, jp, 2.0 * j + 1.0, j * j, jp * jp, j * jp * cosb)
         for k, (two_m, two_n) in enumerate([(tm, tn) for tm in ms for tn in ms]):
             two_j = max(abs(two_m), abs(two_n))
             m, n = two_m / 2.0, two_n / 2.0
+            mn, mm, nn = m * n, m * m, n * n
             # a scalar zero, not an array: c1 * cur - 0.0 is c1 * cur bit for bit, -0.0 included
             prev, cur = 0.0, seeds[..., k]
             while True:
                 out[two_j][..., (two_j - two_m) // 2, (two_j - two_n) // 2] = cur
                 if two_j + 2 > two_jmax:
                     break
-                j = two_j / 2.0
                 if two_j == 0:
                     nxt = cosb * cur
                 else:
-                    jp = j + 1.0
-                    c1 = (2.0 * j + 1.0) * (j * jp * cosb - m * n)
-                    c2 = jp * math.sqrt((j * j - m * m) * (j * j - n * n))
-                    den = j * math.sqrt((jp * jp - m * m) * (jp * jp - n * n))
+                    j, jp, odd, jj, jpjp, jjc = steps[two_j]
+                    c1 = odd * (jjc - mn)
+                    c2 = jp * math.sqrt((jj - mm) * (jj - nn))
+                    den = j * math.sqrt((jpjp - mm) * (jpjp - nn))
                     nxt = (c1 * cur - c2 * prev) / den
                 prev, cur = cur, nxt
                 two_j += 2

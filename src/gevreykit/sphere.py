@@ -34,10 +34,6 @@ class ClassIStructure:
         if self.catalog.spec.family != "so3":
             raise ConfigurationError("class-I structure is built for SO(3) only")
 
-    def invariant_index(self, label):
-        """Row index of the m = 0 vector in the descending-m basis."""
-        return self.catalog.lookup(label).label[0]
-
 def _off_class_one(catalog):
     """Mask of the packed entries outside each SO(3) block's invariant row, m = 0."""
     return catalog.entry_weights[1] != 0

@@ -4,7 +4,8 @@ Every scalar parameter of every callable in gevreykit.__all__, and of the
 public methods of the exported classes, is fed NaN, +-inf, 0 and -1, plus
 1.5 and True where an integer is expected, every real one the finite
 extremes +-400, 1000 and +-1e308, and every order s the small positive
-1e-3, at which <xi>^(1/s) overflows on the torus catalog.  Each call
+1e-3, at which <xi>^(1/s) overflows on the torus catalog; every real one
+is also swept with seeded log-uniform draws of both signs.  Each call
 either raises a GevreyKitError or returns a finite result, and an
 integer parameter refuses every value that is not an int; any other
 exception, and any RuntimeWarning, fails the test.
@@ -229,21 +230,66 @@ REAL_EXTREME_CASES = [(key, value) for key, (values, _, _) in SCALARS.items() if
                       for value in REAL_EXTREMES]
 
 
-@pytest.mark.parametrize("key,value", REAL_EXTREME_CASES,
-                         ids=["%s-%r" % case for case in REAL_EXTREME_CASES])
-def test_real_rows_refuse_the_finite_extremes_or_give_a_result(key, value):
+def _refused_or_valid(call, value):
     """A verdict may hold a designed margin of +-inf, which verdict_record
     writes as a string; its JSON holds no NaN or infinity.  Any other
-    result is finite."""
+    result is finite.  Returns the result, or None on a refusal."""
     try:
-        result = SCALARS[key][2](value)
+        result = call(value)
     except GevreyKitError:
-        return
+        return None
     parts = result.values() if isinstance(result, dict) else [result]
     verdicts = [part for part in parts if isinstance(part, GevreyVerdict)]
     for verdict in verdicts:
         json.dumps(verdict_record(verdict), allow_nan=False)
-    assert verdicts or _finite(result), (key, value)
+    assert verdicts or _finite(result), value
+    return result
+
+
+@pytest.mark.parametrize("key,value", REAL_EXTREME_CASES,
+                         ids=["%s-%r" % case for case in REAL_EXTREME_CASES])
+def test_real_rows_refuse_the_finite_extremes_or_give_a_result(key, value):
+    _refused_or_valid(SCALARS[key][2], value)
+
+
+# Seeded log-uniform draws of both signs over an ordinary range and over the
+# whole double range, per REAL row, in place of points picked by hand
+SWEEP_RANGES = ((1e-2, 1e3), (1e-12, 1e308))
+SWEEP_DRAWS = 30  # per range
+# The matrix rows are swept on scaled matrices too: at a large p the powers of
+# 0.5 I underflow and those of 10 ones overflow.  Each call gives ||a||_p - ||a||_inf,
+# which is not negative at any finite p (for the slacks it is the second one at q = inf)
+MATRICES = (np.eye(3), 0.5 * np.eye(3), np.full((2, 2), 10.0))
+MATRIX_SWEEP = {
+    "matrix_lp_norm-p": lambda a, v: matrix_lp_norm(a, v) - matrix_lp_norm(a, math.inf),
+    "matrix_norm_slacks-p": lambda a, v: matrix_norm_slacks(a, v, math.inf)[1],
+}
+
+
+def _sweep(seed):
+    rng = np.random.default_rng(seed)
+    return [float(sign * math.exp(rng.uniform(math.log(lo), math.log(hi))))
+            for lo, hi in SWEEP_RANGES
+            for sign in rng.choice((-1.0, 1.0), SWEEP_DRAWS)]
+
+
+REAL_ROWS = [key for key, (values, _, _) in SCALARS.items() if values is REAL]
+
+
+@pytest.mark.parametrize("key", REAL_ROWS)
+def test_real_rows_refuse_a_seeded_sweep_or_give_a_result(key):
+    values = _sweep(2100 + REAL_ROWS.index(key))
+    if key in MATRIX_SWEEP:
+        for a in MATRICES:
+            call = lambda v, a=a: MATRIX_SWEEP[key](a, v)  # noqa: E731
+            for v in values:
+                excess = _refused_or_valid(call, v)
+                assert excess is None or excess >= -1e-12 * np.abs(a).max(), (a, v)
+        return
+    for v in values:
+        result = _refused_or_valid(SCALARS[key][2], v)
+        if key == "lp_norm-p" and result is not None:
+            assert result >= lp_norm(PHI, math.inf) * (1.0 - 1e-12), v
 
 
 @pytest.mark.parametrize("key", SCALARS)

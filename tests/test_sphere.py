@@ -32,7 +32,7 @@ def _setup(lmax):
 
 def test_off_class_one_mask_is_each_label_s_invariant_row():
     cat, _, struct = _setup(8)
-    inv = [struct.invariant_index(label) for label in cat.labels]
+    inv = [label[0] for label in cat.labels]  # the m = 0 row of spin l is row l
     want = cat.entry_index[0] != np.repeat(inv, np.diff(cat.offsets))
     assert np.array_equal(_off_class_one(cat), want)
 
@@ -89,11 +89,10 @@ def test_series_refuses_unprojected_input():
 
 
 def test_dimension_accounting():
-    cat, _, struct = _setup(7)
+    cat, _, _ = _setup(7)
     for rep in cat:
         l = rep.label[0]
         assert rep.dim == 2 * l + 1
-        assert struct.invariant_index(rep.label) == l
 
 
 def test_deliberate_leakage_names_witness():
@@ -164,8 +163,7 @@ def test_series_ignores_leakage_below_tolerance():
     noisy = proj.copy()
     for rep in cat:
         block = noisy[rep.label].copy()
-        l = struct.invariant_index(rep.label)
-        off = np.arange(rep.dim) != l
+        off = np.arange(rep.dim) != rep.label[0]
         block[off, :] = 0.9 * LEAKAGE_TOL * np.exp(2j * np.pi * rng.random((rep.dim - 1, rep.dim)))
         noisy[rep.label] = block
     assert 0.0 < leakage(noisy, struct) <= LEAKAGE_TOL
