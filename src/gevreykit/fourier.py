@@ -12,6 +12,8 @@ inverse is one scatter of every entry in catalog order.
 
 The pointwise series (inverse_transform) forms each class at a slice of
 points at once on every family, bit for bit rep_matrix point by point.
+Its little-d stack holds only the chains the coefficients meet: a
+class-I field on SO(3) reads the column d^l_{m0} alone.
 """
 
 import math
@@ -217,12 +219,10 @@ def inverse_on_grid(coeffs, grid):
     return np.einsum("ma,mbn,ng->abg", np.conj(ea), acc, np.conj(eg))
 
 
-def _point_rows(spec, points):
-    """The points as float rows, refused with DomainError before any work:
-    a torus point needs torus_dim angles, an SU(2) or SO(3) point is an
-    Euler triple, and every angle is finite."""
-    torus = spec.family == "torus"
-    width = spec.torus_dim if torus else 3
+def _point_rows(points, width, refusal):
+    """The points as float rows of ``width`` angles, refused with DomainError
+    before any work: ``refusal.format(i)`` where point i is not such a row,
+    or where it has a non-finite angle."""
     rows = np.empty((len(points), width))
     for i, x in enumerate(points):
         try:
@@ -230,8 +230,7 @@ def _point_rows(spec, points):
         except (TypeError, ValueError):
             row = None
         if row is None or row.shape != (width,):
-            raise DomainError("torus element needs %d angles" % width if torus
-                              else "point %d is not an Euler triple (alpha, beta, gamma)" % i)
+            raise DomainError(refusal.format(i))
         if not np.isfinite(row).all():
             raise DomainError("point %d has a non-finite angle" % i)
         rows[i] = row
@@ -251,15 +250,20 @@ def inverse_transform(coeffs, points):
     SERIES_SLICE_ENTRIES entries, and each point's terms add by tree_sum
     in catalog order.  SU(2) and SO(3) build one little-d stack up to the
     top present 2j of the family's parities over the distinct betas, in
-    chunks whose full-stack count stays within the field budget.
+    chunks whose full-stack count stays within the field budget.  The
+    stack holds only the (m, n) chains that meet a nonzero entry (n, m)
+    of a present class; every other entry is 0 and meets only 0s.
     """
     cat = coeffs.catalog
-    rows = _point_rows(cat.spec, points)
+    torus = cat.spec.family == "torus"
+    rows = _point_rows(points, cat.spec.torus_dim if torus else 3,
+                       "torus element needs %d angles" % cat.spec.torus_dim if torus
+                       else "point {} is not an Euler triple (alpha, beta, gamma)")
     values = np.zeros(len(rows), dtype=complex)
     present = np.flatnonzero(coeffs.present)
     if not len(present):
         return values
-    if cat.spec.family == "torus":
+    if torus:
         # exp(i k.x) and its product with each 1 x 1 block as stacked matmuls
         k = np.array(cat.labels, dtype=float)[present, None, :]
         f = coeffs.data[cat.offsets[present], None, None]
@@ -268,10 +272,15 @@ def inverse_transform(coeffs, points):
             values[at] = [tree_sum(row) for row in terms]
         return values
     top = int(cat.dims[present].max()) - 1
+    # Tr(xi(x) f_hat) reads chain (m, n) of xi against entry (n, m) of f_hat: build the
+    # chains that meet a nonzero entry; the rest stay 0 and only ever multiply a 0
+    _, two_m, two_n = cat.entry_weights
+    met = (coeffs.data != 0) & np.repeat(coeffs.present, np.diff(cat.offsets))
+    chains = set(zip(two_n[met].tolist(), two_m[met].tolist()))
     # distinct betas by bit pattern, so -0.0 keeps its own d matrices
     bits, where = np.unique(rows[:, 1].view(np.int64), return_inverse=True)
     for betas in _slices(np.arange(len(bits)), d_stack_entries(top), groups.FIELD_ENTRY_BUDGET):
-        stack = wigner_d_all(top, bits[betas].view(float), SPIN_PARITIES[cat.spec.family])
+        stack = wigner_d_all(top, bits[betas].view(float), SPIN_PARITIES[cat.spec.family], chains)
         for at in _slices(np.flatnonzero((where >= betas[0]) & (where <= betas[-1])), (top + 1) ** 2):
             alpha, gamma = rows[at, 0, None, None], rows[at, 2, None, None]
             terms = np.empty((len(at), len(present)), dtype=complex)

@@ -79,7 +79,7 @@ def d_stack_entries(two_jmax):
     return (two_jmax + 1) * (two_jmax + 2) * (2 * two_jmax + 3) // 6
 
 
-def wigner_d_all(two_jmax, beta, parities=(0, 1)):
+def wigner_d_all(two_jmax, beta, parities=(0, 1), chains=None):
     """Little-d matrices d^j(beta) for 2j = 0, 1, ..., two_jmax of the given parities.
 
     Each (m, n) starts from its closed-form seed at j = max(|m|, |n|), one _d_seeds
@@ -96,6 +96,9 @@ def wigner_d_all(two_jmax, beta, parities=(0, 1)):
         Angles in [0, pi], any shape; the matrices are vectorized over it.
     parities : tuple of 0 and 1
         Parities of 2j to build.
+    chains : set of (2m, 2n) pairs, optional
+        The chains to build, each at every 2j it reaches; the entries of
+        every other chain stay 0.  Default: every chain.
 
     Returns
     -------
@@ -121,6 +124,8 @@ def wigner_d_all(two_jmax, beta, parities=(0, 1)):
             jp = j + 1.0
             steps[two_j] = (j, jp, 2.0 * j + 1.0, j * j, jp * jp, j * jp * cosb)
         for k, (two_m, two_n) in enumerate([(tm, tn) for tm in ms for tn in ms]):
+            if chains is not None and (two_m, two_n) not in chains:
+                continue
             two_j = max(abs(two_m), abs(two_n))
             m, n = two_m / 2.0, two_n / 2.0
             mn, mm, nn = m * n, m * m, n * n

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolation, DomainError
-from .fourier import CoefficientField, inverse_transform
+from .fourier import CoefficientField, _point_rows, inverse_transform
 from .gevrey import _check_order, _norm_mode, _verdict, fourier_side_test
 from .duality import ultra_membership_test
 
@@ -35,7 +35,11 @@ class ClassIStructure:
             raise ConfigurationError("class-I structure is built for SO(3) only")
 
 def _off_class_one(catalog):
-    """Mask of the packed entries outside each SO(3) block's invariant row, m = 0."""
+    """Mask of the packed entries outside each SO(3) block's invariant row, m = 0;
+    a field on another group is refused, as ClassIStructure refuses its catalog."""
+    if catalog.spec.family != "so3":
+        raise ContractViolation("class-I structure takes SO(3) fields only, not %s"
+                                % catalog.spec.family)
     return catalog.entry_weights[1] != 0
 
 
@@ -74,23 +78,26 @@ def sphere_series(coeffs, structure, points):
 
     The group series of the class-I projection, evaluated at the
     gamma = 0 lift of each point.  Requires class-I-projected input;
-    forbidden entries above LEAKAGE_TOL are a contract violation.
+    forbidden entries above LEAKAGE_TOL are a contract violation, and a
+    point that is not a (beta, alpha) pair is a DomainError.
     """
     bad = leakage(coeffs, structure)
     if bad > LEAKAGE_TOL:
         raise ContractViolation(
             "input is not class-I projected (leakage %.3e)" % bad
         )
+    rows = _point_rows(points, 2, "point {} is not a (beta, alpha) pair")
     return inverse_transform(project_class_one(coeffs, structure),
-                             [(alpha, beta, 0.0) for beta, alpha in points])
+                             np.column_stack((rows[:, 1], rows[:, 0], np.zeros(len(rows)))))
 
 
 def _class_one_verdict(test, coeffs, structure, s, mode):
     """Class-I support check, then ``test`` on the projection."""
+    off = _off_class_one(coeffs.catalog)
     if s < 1:
         raise DomainError("homogeneous-space tests require s >= 1")
     _check_order(coeffs.catalog, s)
-    off = np.where(_off_class_one(coeffs.catalog), np.abs(coeffs.data), 0.0)
+    off = np.where(off, np.abs(coeffs.data), 0.0)
     worst = np.maximum.reduceat(off, coeffs.catalog.offsets[:-1])
     if worst.max() > VERDICT_LEAKAGE_TOL:
         return _verdict(_norm_mode(mode), s, -float(worst.max()),

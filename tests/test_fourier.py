@@ -24,6 +24,7 @@ from gevreykit.fourier import (
 )
 from gevreykit.gevrey import synthesize_gevrey
 from gevreykit.groups import GroupSpec, enumerate_dual
+from gevreykit.sphere import ClassIStructure, project_class_one
 from gevreykit.quadrature import (
     band_for_catalog,
     build_grid,
@@ -260,10 +261,15 @@ SERIES_CATALOGS = {
 }
 
 
+SUPPORTS = ("dense", "diagonal", "one entry", "class I")
+
+
 @st.composite
 def series_inputs(draw):
     """A field with absent classes (or none present) and points with repeats
-    and shared betas (or none)."""
+    and shared betas (or none).  The field's support is dense, diagonal, one
+    entry or (on SO(3)) the class-I rows, and present classes may hold a
+    block of zeros."""
     cat = SERIES_CATALOGS[draw(st.sampled_from(sorted(SERIES_CATALOGS)))]
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     keep = draw(st.lists(st.booleans(), min_size=len(cat), max_size=len(cat)))
@@ -272,6 +278,18 @@ def series_inputs(draw):
         if k:
             shape = (rep.dim, rep.dim)
             field[rep.label] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    support = draw(st.sampled_from(SUPPORTS if cat.spec.family == "so3" else SUPPORTS[:3]))
+    row, col, _ = cat.entry_index
+    if support == "diagonal":
+        field.data[row != col] = 0
+    elif support == "one entry":
+        at = np.flatnonzero(field.data)
+        kept = at[draw(st.integers(0, len(at) - 1))] if len(at) else -1
+        field.data[np.arange(len(field.data)) != kept] = 0
+    elif support == "class I":
+        field = project_class_one(field, ClassIStructure(cat))
+    zeroed = draw(st.lists(st.booleans(), min_size=len(cat), max_size=len(cat)))
+    field.data[np.repeat(zeroed, np.diff(cat.offsets))] = 0
     spec = cat.spec
     points = [random_element(spec, rng) for _ in range(draw(st.integers(0, 5)))]
     if points and draw(st.booleans()):
@@ -282,7 +300,7 @@ def series_inputs(draw):
     return field, points
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(series_inputs())
 def test_inverse_transform_is_bit_identical_to_the_rep_matrix_loop(case):
     field, points = case
@@ -293,14 +311,21 @@ def test_inverse_transform_is_bit_identical_to_the_rep_matrix_loop(case):
 
 
 def _count_d_stacks(monkeypatch):
+    """Record (2j max, beta count, parities, chain set) of every d stack inverse_transform asks for."""
     calls = []
 
-    def counting(two_jmax, beta, *parities):
-        calls.append((two_jmax, len(beta)) + parities)
-        return wigner_d_all(two_jmax, beta, *parities)
+    def counting(two_jmax, beta, parities, chains=None):
+        calls.append((two_jmax, len(beta), parities, chains))
+        return wigner_d_all(two_jmax, beta, parities, chains)
 
     monkeypatch.setattr(fourier, "wigner_d_all", counting)
     return calls
+
+
+def _every_chain(two_jmax, parities):
+    """Every (2m, 2n) chain of a stack up to 2j = two_jmax of the given parities."""
+    return {(tm, tn) for p in parities for tm in range(-two_jmax, two_jmax + 1)
+            for tn in range(-two_jmax, two_jmax + 1) if tm % 2 == tn % 2 == p}
 
 
 def test_inverse_transform_builds_one_d_stack_per_call(monkeypatch):
@@ -313,7 +338,30 @@ def test_inverse_transform_builds_one_d_stack_per_call(monkeypatch):
         points = [random_element(cat.spec, rng) for _ in range(n)]
         calls.clear()
         inverse_transform(field, points)
-        assert calls == [(int(cat.dims[-1]) - 1, n, parities)]
+        top = int(cat.dims[-1]) - 1
+        assert calls == [(top, n, parities, _every_chain(top, parities))]
+
+
+def test_inverse_transform_builds_only_the_chains_its_coefficients_meet(monkeypatch):
+    rng = np.random.default_rng(26)
+    cat = SERIES_CATALOGS["SO3"]
+    points = [random_element(cat.spec, rng) for _ in range(4)]
+    calls = _count_d_stacks(monkeypatch)
+    # a class-I field holds only the m = 0 row of each block, so Tr(xi f_hat) reads
+    # the column d^l_{m0} of xi: 17 chains of the 289 at l <= 8
+    inverse_transform(project_class_one(_random_field(cat, rng), ClassIStructure(cat)), points)
+    assert [c[3] for c in calls] == [{(two_m, 0) for two_m in range(-16, 17, 2)}]
+    calls.clear()
+    inverse_transform(_random_field(cat, rng), points)
+    assert len(calls[0][3]) == 289
+    # entry (m, n) = (1, -2) of the spin-3 block meets the chain (m, n) = (-2, 1) alone
+    field = CoefficientField(cat)
+    block = np.zeros((7, 7), dtype=complex)
+    block[2, 5] = 0.5
+    field[(3,)] = block
+    calls.clear()
+    assert inverse_transform(field, points).tobytes() == _series_oracle(field, points).tobytes()
+    assert calls == [(6, 4, (0,), {(-4, 2)})]
 
 
 def test_inverse_transform_chunks_betas_to_fit_the_budget(monkeypatch):
@@ -328,7 +376,8 @@ def test_inverse_transform_chunks_betas_to_fit_the_budget(monkeypatch):
     monkeypatch.setattr(groups, "FIELD_ENTRY_BUDGET", 2 * 13 * 14 * 27 // 6)
     got = inverse_transform(field, points)
     assert got.tobytes() == ref.tobytes()
-    assert calls == [(12, 2, (0, 1)), (12, 2, (0, 1)), (12, 2, (0, 1)), (12, 1, (0, 1))]
+    chains = _every_chain(12, (0, 1))
+    assert calls == [(12, 2, (0, 1), chains)] * 3 + [(12, 1, (0, 1), chains)]
 
 
 def test_d_stacks_ask_for_the_parities_of_the_dual(monkeypatch):

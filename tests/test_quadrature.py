@@ -208,6 +208,28 @@ def test_one_parity_stack_is_the_full_stacks_entries_bit_for_bit(monkeypatch):
     assert sorted(build_grid(GroupSpec("su2"), 4).euler_tables[2]) == [0, 1, 2, 3, 4]
 
 
+def test_a_stack_of_some_chains_is_the_full_stacks_entries_on_them_and_0_elsewhere():
+    rng = np.random.default_rng(28)
+    betas = np.concatenate([[0.0, -0.0, math.pi, 1e-300], rng.uniform(0.0, math.pi, 5)])
+    for two_jmax in (0, 1, 12, 13, 40):
+        full = wigner_d_all(two_jmax, betas)
+        every = [(tm, tn) for tm in range(-two_jmax, two_jmax + 1)
+                 for tn in range(-two_jmax, two_jmax + 1) if (tm - tn) % 2 == 0]
+        for share in (0.0, 0.05, 0.5, 1.0):
+            chains = {c for c in every if rng.random() < share}
+            for parities in ((0, 1), (0,), (1,)):
+                part = wigner_d_all(two_jmax, betas, parities, chains)
+                assert sorted(part) == [t for t in full if t % 2 in parities]
+                for two_j, mat in part.items():
+                    for row in range(two_j + 1):
+                        for col in range(two_j + 1):
+                            got = mat[:, row, col].tobytes()
+                            if (two_j - 2 * row, two_j - 2 * col) in chains:
+                                assert got == full[two_j][:, row, col].tobytes()
+                            else:
+                                assert got == np.zeros(len(betas)).tobytes()
+
+
 def _seed_oracle(two_j, two_m, two_n, cb, sb):
     """The four-branch scalar seed d^j_{mn} at j = max(|m|, |n|), one pair per call."""
     j, m, n = two_j / 2.0, two_m / 2.0, two_n / 2.0

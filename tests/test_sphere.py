@@ -169,3 +169,32 @@ def test_series_ignores_leakage_below_tolerance():
     assert 0.0 < leakage(noisy, struct) <= LEAKAGE_TOL
     pts = [(grid.beta[2], grid.alpha[4]), (0.3, 5.9), (2.8, 1.1)]
     assert np.abs(sphere_series(noisy, struct, pts) - sphere_series(proj, struct, pts)).max() < 1e-14
+
+
+@pytest.mark.parametrize("point", [(1.0, 2.0, 3.0), (1.0,), 1.0, ("a", 1.0), "ab", None])
+def test_series_refuses_a_point_that_is_not_a_beta_alpha_pair(point):
+    cat, _, struct = _setup(4)
+    f = project_class_one(synthesize_gevrey(cat, 2.0, 1.0), struct)
+    with pytest.raises(DomainError, match=r"^point 1 is not a \(beta, alpha\) pair$"):
+        sphere_series(f, struct, [(0.5, 1.0), point])
+    with pytest.raises(DomainError, match="point 1 has a non-finite angle"):
+        sphere_series(f, struct, [(0.5, 1.0), (math.nan, 1.0)])
+
+
+def test_sphere_functions_refuse_a_field_off_so3():
+    cat, _, struct = _setup(4)
+    su2 = CoefficientField.identity(enumerate_dual(GroupSpec("su2"), 5.0))
+    calls = (lambda f: project_class_one(f, struct), lambda f: leakage(f, struct),
+             lambda f: sphere_series(f, struct, [(0.5, 1.0)]),
+             lambda f: sphere_gevrey_test(f, struct, 2.0, "R"),
+             lambda f: sphere_ultra_test(f, struct, 2.0, "R"))
+    for call in calls:
+        with pytest.raises(ContractViolation, match="SO\\(3\\) fields only, not su2"):
+            call(su2)
+    # a field on another SO(3) cutoff is served as before
+    other, _, _ = _setup(6)
+    f = project_class_one(synthesize_gevrey(other, 2.0, 1.0), struct)
+    assert leakage(f, struct) == 0.0
+    assert len(sphere_series(f, struct, [(0.5, 1.0)])) == 1
+    assert sphere_gevrey_test(f, struct, 2.0, "R").passed
+    assert sphere_ultra_test(project_class_one(delta_sequence(other), struct), struct, 2.0, "R").passed
