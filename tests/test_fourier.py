@@ -24,7 +24,6 @@ from gevreykit.fourier import (
 )
 from gevreykit.gevrey import synthesize_gevrey
 from gevreykit.groups import GroupSpec, enumerate_dual
-from gevreykit.sphere import ClassIStructure, project_class_one
 from gevreykit.quadrature import (
     band_for_catalog,
     build_grid,
@@ -35,6 +34,7 @@ from gevreykit.quadrature import (
     tree_sum,
     wigner_d_all,
 )
+from gevreykit.sphere import ClassIStructure, project_class_one
 
 from euler_algebra import haar_integrate
 
