@@ -79,7 +79,7 @@ def check_in_range(what, result, nonzero=False):
     """A result all of whose numbers are finite and, where ``nonzero`` says
     its exact value is not 0, not all 0; any other left the double range on
     the way and is refused with a DomainError naming ``what`` ("t = 400.0")."""
-    if np.isfinite(result).all() and (np.any(result) or not nonzero):
+    if np.isfinite(result).all() and (not nonzero or np.any(result)):
         return result
     raise DomainError("%s takes the result outside the double range" % what)
 

@@ -28,6 +28,7 @@ from .quadrature import SPIN_PARITIES, band_for_catalog, d_stack_entries, tree_s
 
 SERIES_SLICE_ENTRIES = 1 << 18  # per array of an inverse_transform slice: 4 MB complex
 LOG_DBL_MAX = math.log(np.finfo(float).max)
+DBL_TINY = np.finfo(float).tiny  # numpy divides a complex by a real x via 1 / x: overflows below
 
 
 class CoefficientField:
@@ -118,17 +119,22 @@ class CoefficientField:
         return self._packed(a * self.data + b * other.data, self.present | other.present)
 
     def hs_norms(self):
-        """hs_norm of every class's block in catalog order, 0 where absent;
-        1 x 1 blocks take its floating-point steps array-wide, bit for bit."""
+        """hs_norm of every class's block in catalog order, 0 where absent, refused naming
+        a class past the double range; 1 x 1 blocks take its steps array-wide, bit for bit."""
         cat = self.catalog
         z = self.data[cat.offsets[:-1]]
-        peak = np.abs(z)
-        ok = (peak > 0.0) & np.isfinite(peak)
-        z = z / np.where(ok, peak, 1.0)
-        out = np.where(ok, peak * np.sqrt(z.real * z.real + z.imag * z.imag), peak)
+        out = np.abs(z)
+        ok = (out > 0.0) & np.isfinite(out)
+        peak = np.maximum(out[ok], DBL_TINY)
+        z = z[ok] / peak
+        out[ok] = peak * np.sqrt(z.real * z.real + z.imag * z.imag)
         for i in np.flatnonzero(self.present & (cat.dims > 1)).tolist():
-            out[i] = hs_norm(self[cat.labels[i]])
-        return np.where(self.present, out, 0.0)
+            try:
+                out[i] = hs_norm(self[cat.labels[i]])
+            except DomainError:  # refused below, naming the class
+                out[i] = math.inf
+        out = np.where(self.present, out, 0.0)
+        return check_in_range("class %r's HS norm" % (cat.labels[np.isfinite(out).argmin()],), out)
 
 
 def ranges(starts, sizes):
@@ -371,22 +377,23 @@ def hausdorff_young_gap(grid, samples, coeffs, synth):
 
 
 def matrix_lp_norm(a, p):
-    """Entrywise l^p norm of a matrix, scaled by its largest |entry| as hs_norm is."""
+    """Entrywise l^p norm of a matrix, scaled by its largest |entry| and refused as hs_norm is."""
     a = np.abs(np.asarray(a))
     check_norm_exponent("p", p)
     peak = float(a.max()) if a.size else 0.0
     if p == math.inf or peak == 0.0 or not math.isfinite(peak):
         return peak
-    return peak * float(np.sum((a / peak) ** p) ** (1.0 / p))
+    return check_in_range("p = %r" % p, peak * float(np.sum((a / peak) ** p) ** (1.0 / p)))
 
 
 def hs_norm(a):
-    """Hilbert-Schmidt norm, scaled so huge entries do not overflow."""
+    """Hilbert-Schmidt norm, scaled against overflow; a norm past the double range is refused."""
     a = np.asarray(a)
     peak = float(np.abs(a).max()) if a.size else 0.0
     if peak == 0.0 or not math.isfinite(peak):
         return peak
-    return peak * float(np.linalg.norm(a / peak))
+    peak = max(peak, DBL_TINY)
+    return check_in_range("the HS norm of this matrix", peak * float(np.linalg.norm(a / peak)))
 
 
 def operator_norm(a):

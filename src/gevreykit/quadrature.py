@@ -50,16 +50,14 @@ def tree_sum(values):
 # Wigner little-d matrices
 
 
-def _d_seeds(two_ms, cb, sb):
-    """d^j_{mn} at j = max(|m|, |n|) for every pair of 2m, 2n in two_ms, row-major
-    on the last axis; cb, sb are cos(beta/2), sin(beta/2).  Each is exp(lc) cb^p
+def _d_seeds(tm, tn, cb, sb):
+    """d^j_{mn} at j = max(|m|, |n|) for each chain (2m, 2n) = (tm[k], tn[k]), k on the
+    last axis; cb, sb are cos(beta/2), sin(beta/2).  Each is exp(lc) cb^p
     (+-sb)^q, lc = (ln(2j)! - ln p! - ln q!) / 2, where (p, q, sign) is (j+n, j-n, -)
     on m = j, (j-n, j+n, +) on m = -j, (j+m, j-m, +) on n = j and (j-m, j+m, -) on
     n = -j, the first border that holds.  ln k! is one gammaln call on k = 0..max 2j.
     """
     from scipy.special import gammaln  # on use: loading scipy.special costs a start-up 0.3 s
-    two_ms = np.array(two_ms, int)
-    tm, tn = np.repeat(two_ms, two_ms.size), np.tile(two_ms, two_ms.size)
     two_j = np.maximum(abs(tm), abs(tn))
     on_m = abs(tm) == two_j
     up = np.where(on_m, tm, tn) == two_j  # the border is m = j or n = j
@@ -82,8 +80,8 @@ def d_stack_entries(two_jmax):
 def wigner_d_all(two_jmax, beta, parities=(0, 1), chains=None):
     """Little-d matrices d^j(beta) for 2j = 0, 1, ..., two_jmax of the given parities.
 
-    Each (m, n) starts from its closed-form seed at j = max(|m|, |n|), one _d_seeds
-    pass per parity, and a three-term recursion steps its 2j by 2: parities never mix.
+    Each chain (m, n) it builds starts from its closed-form seed at j = max(|m|, |n|), one
+    _d_seeds pass per parity, and a three-term recursion steps its 2j by 2: parities never mix.
     What a step needs and no chain changes is formed once: j, j + 1, 2j + 1, j^2, (j + 1)^2
     and j (j + 1) cos(beta) per parity and 2j, and mn, m^2, n^2 per chain.  Each is formed
     by the step's own operations in the same order, so no entry moves by a bit.
@@ -117,15 +115,14 @@ def wigner_d_all(two_jmax, beta, parities=(0, 1), chains=None):
            for two_j in range(two_jmax + 1) if two_j % 2 in parities}
     for parity in parities:
         ms = range(-two_jmax + ((two_jmax - parity) % 2), two_jmax + 1, 2)
-        seeds = _d_seeds(ms, cb, sb)
+        built = [(tm, tn) for tm in ms for tn in ms if chains is None or (tm, tn) in chains]
+        seeds = _d_seeds(*np.array(built, int).reshape(-1, 2).T, cb, sb)
         steps = {}  # 2j > 0: the parts of its step that no chain changes
         for two_j in range(2 - parity, two_jmax - 1, 2):
             j = two_j / 2.0
             jp = j + 1.0
             steps[two_j] = (j, jp, 2.0 * j + 1.0, j * j, jp * jp, j * jp * cosb)
-        for k, (two_m, two_n) in enumerate([(tm, tn) for tm in ms for tn in ms]):
-            if chains is not None and (two_m, two_n) not in chains:
-                continue
+        for k, (two_m, two_n) in enumerate(built):
             two_j = max(abs(two_m), abs(two_n))
             m, n = two_m / 2.0, two_n / 2.0
             mn, mm, nn = m * n, m * m, n * n
@@ -148,11 +145,6 @@ def wigner_d_all(two_jmax, beta, parities=(0, 1), chains=None):
     return out
 
 
-def wigner_d_matrix(two_j, beta):
-    """Single little-d matrix; wigner_d_all on the parity of two_j only."""
-    return wigner_d_all(two_j, beta, (two_j % 2,))[two_j]
-
-
 # one alias kept for the benchmark's band sweep, which calls this name (ROADMAP item 1)
 wigner_d_cached = wigner_d_all
 
@@ -171,7 +163,7 @@ def rep_matrix(spec, rep, angles):
         return np.array([[np.exp(1j * float(k @ x))]])
     alpha, beta, gamma = (float(a) for a in angles)
     two_j = rep.dim - 1
-    d = wigner_d_matrix(two_j, np.array([beta]))[0]
+    d = wigner_d_all(two_j, np.array([beta]), (two_j % 2,))[two_j][0]
     mvals = (two_j - 2 * np.arange(two_j + 1)) / 2.0
     return np.exp(-1j * mvals[:, None] * alpha) * d * np.exp(-1j * mvals[None, :] * gamma)
 

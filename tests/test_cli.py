@@ -315,6 +315,32 @@ def test_orders_and_rates_that_are_not_finite_exit_3(capsys, monkeypatch):
         assert "data error" in err and "Traceback" not in err
 
 
+def test_a_block_whose_hs_norm_leaves_the_double_range_exits_3(capsys, monkeypatch):
+    # finite entries of 1e308 whose HS norm is 2e308 on SU(2), and sqrt(5) 1e308 in the
+    # class-I row of an SO(3) block: the verdicts read that norm, so each command refuses
+    su2 = enumerate_dual(GroupSpec("su2"), 7.0)
+    f = synthesize_gevrey(su2, 2.0, 1.0, "dense")
+    f[(1,)] = np.full((2, 2), 1e308)
+    so3 = enumerate_dual(GroupSpec("so3"), 8.0)
+    g = project_class_one(synthesize_gevrey(so3, 2.0, 1.0, "dense"), ClassIStructure(so3))
+    block = np.zeros((5, 5))
+    block[2] = 1e308
+    g[(2,)] = block
+    for field, group, argv in (
+            (f, ["--group", "su2", "--cutoff", "7"], ["classify", "--side", "fourier"]),
+            (f, ["--group", "su2", "--cutoff", "7"], ["classify", "--side", "space"]),
+            (f, ["--group", "su2", "--cutoff", "7"], ["classify", "--side", "both"]),
+            (f, ["--group", "su2", "--cutoff", "7"], ["ultra-test"]),
+            (g, ["--group", "so3", "--cutoff", "8"], ["sphere", "--action", "test"]),
+            (g, ["--group", "so3", "--cutoff", "8"], ["sphere", "--action", "ultra"])):
+        code, out, err = run_cli(capsys, [argv[0], *group, *argv[1:], "--s", "2"],
+                                 stdin_text=field_to_jsonl(field), monkeypatch=monkeypatch)
+        assert code == 3, argv
+        assert out == ""  # no verdict, so no NaN in one
+        label = "(1,)" if field is f else "(2,)"
+        assert "class %s's HS norm" % label in err and "Traceback" not in err
+
+
 def test_synthesize_omits_classes_whose_norms_underflow(capsys):
     code, out, _ = run_cli(capsys, ["synthesize", "--group", "t1", "--cutoff", "50",
                                     "--s", "0.001", "--B", "1"])

@@ -258,9 +258,10 @@ def test_real_rows_refuse_the_finite_extremes_or_give_a_result(key, value):
 SWEEP_RANGES = ((1e-2, 1e3), (1e-12, 1e308))
 SWEEP_DRAWS = 30  # per range
 # The matrix rows are swept on scaled matrices too: at a large p the powers of
-# 0.5 I underflow and those of 10 ones overflow.  Each call gives ||a||_p - ||a||_inf,
-# which is not negative at any finite p (for the slacks it is the second one at q = inf)
-MATRICES = (np.eye(3), 0.5 * np.eye(3), np.full((2, 2), 10.0))
+# 0.5 I underflow and those of 10 ones overflow, and the norm of 1e308 ones leaves the
+# double range below p = 2.4.  Each call gives ||a||_p - ||a||_inf, which is not
+# negative at any finite p (for the slacks it is the second one at q = inf)
+MATRICES = (np.eye(3), 0.5 * np.eye(3), np.full((2, 2), 10.0), 1e308 * np.ones((2, 2)))
 MATRIX_SWEEP = {
     "matrix_lp_norm-p": lambda a, v: matrix_lp_norm(a, v) - matrix_lp_norm(a, math.inf),
     "matrix_norm_slacks-p": lambda a, v: matrix_norm_slacks(a, v, math.inf)[1],
@@ -282,7 +283,7 @@ def test_real_rows_refuse_a_seeded_sweep_or_give_a_result(key):
     values = _sweep(zlib.crc32(key.encode()))
     if key in MATRIX_SWEEP:
         for a in MATRICES:
-            for v in values:
+            for v in (1.0, 2.0, *values):  # the sweep with the two norms most used
                 excess = _refused_or_valid(lambda p: MATRIX_SWEEP[key](a, p), v)
                 assert excess is None or excess >= -1e-12 * np.abs(a).max(), (a, v)
         return

@@ -197,6 +197,29 @@ def test_hs_norm_survives_huge_entries():
     assert hs_norm(np.zeros((2, 2))) == 0.0
 
 
+def test_block_norms_past_the_double_range_are_refused_and_subnormal_ones_kept():
+    with pytest.raises(DomainError, match="the HS norm of this matrix"):
+        hs_norm(np.full((2, 2), 1e308))
+    # a 1 x 1 block whose |entry| is 2.1e308, and a 2 x 2 one whose HS norm is 2e308
+    for cat, label, block in (
+            (enumerate_dual(GroupSpec("torus", 1), 3.0), (2,), [[1.5e308 + 1.5e308j]]),
+            (enumerate_dual(GroupSpec("su2"), 4.0), (1,), np.full((2, 2), 1e308))):
+        f = CoefficientField(cat)
+        f[(0,)] = [[1.0]]
+        f[label] = block
+        with pytest.raises(DomainError, match=r"class \(%d,\)'s HS norm" % label[0]):
+            f.hs_norms()
+        f[label] = 0.5 * np.asarray(block)  # norms of 1.06e308 and 1e308: in range again
+        assert np.isfinite(f.hs_norms()).all()
+    # subnormal entries, whose reciprocals overflow, have their norms in range too
+    f = CoefficientField(enumerate_dual(GroupSpec("su2"), 4.0))
+    f[(0,)] = [[3e-320 + 4e-320j]]
+    f[(1,)] = np.full((2, 2), 1e-320 + 0j)
+    hs = f.hs_norms()
+    assert hs[:2].tolist() == [hs_norm(f[(0,)]), hs_norm(f[(1,)])]
+    assert hs[:2] == pytest.approx([5e-320, 2e-320], rel=1e-3, abs=0.0)
+
+
 def test_cross_catalog_arithmetic_refused():
     rng = np.random.default_rng(14)
     a = _random_field(enumerate_dual(GroupSpec("su2"), 5.0), rng)
@@ -402,8 +425,9 @@ def test_d_stacks_ask_for_the_parities_of_the_dual(monkeypatch):
         two_band = 2 * grid.band if key == "SO3" else grid.band
         assert calls == [(top, parities), (two_band, parities)]
     calls.clear()
-    for two_j in range(6):
-        quadrature.wigner_d_matrix(two_j, np.array([0.4]))
+    su2 = SERIES_CATALOGS["SU2"]
+    for rep in list(su2)[:6]:
+        rep_matrix(su2.spec, rep, (0.1, 0.4, 0.2))
     assert calls == [(two_j, (two_j % 2,)) for two_j in range(6)]
 
 

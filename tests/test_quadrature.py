@@ -8,8 +8,9 @@ from scipy.linalg import expm
 from scipy.special import gammaln
 
 from gevreykit.calculus import vector_field_symbol
-from gevreykit import groups
+from gevreykit import groups, quadrature
 from gevreykit.errors import ResourceError
+from gevreykit.gevrey import synthesize_gevrey
 from gevreykit.groups import GroupSpec, enumerate_dual
 from gevreykit.quadrature import (
     build_grid,
@@ -19,8 +20,8 @@ from gevreykit.quadrature import (
     sample_function,
     tree_sum,
     wigner_d_all,
-    wigner_d_matrix,
 )
+from gevreykit.sphere import ClassIStructure, project_class_one, sphere_series
 
 from euler_algebra import (compose_euler, euler_to_so3, euler_to_su2, haar_integrate, so3_to_euler,
                            su2_to_euler)
@@ -62,7 +63,8 @@ def test_wigner_d_matches_matrix_exponential():
         _, jy, _ = _angular_momentum(two_j)
         for beta in rng.uniform(0.0, math.pi, 3):
             oracle = expm(-1j * beta * jy)
-            assert np.abs(wigner_d_matrix(two_j, np.array([beta]))[0] - oracle).max() < 1e-12
+            d = wigner_d_all(two_j, np.array([beta]), (two_j % 2,))[two_j][0]
+            assert np.abs(d - oracle).max() < 1e-12
 
 
 def test_rep_matrix_matches_exponential_factorization():
@@ -197,7 +199,7 @@ def test_one_parity_stack_is_the_full_stacks_entries_bit_for_bit(monkeypatch):
             for two_j, mat in part.items():
                 assert mat.tobytes() == full[two_j].tobytes(), (two_jmax, two_j)
     for two_j in range(41):  # against the stack up to 2j = 40
-        assert wigner_d_matrix(two_j, betas).tobytes() == full[two_j].tobytes()
+        assert wigner_d_all(two_j, betas, (two_j % 2,))[two_j].tobytes() == full[two_j].tobytes()
     # the budget counts the full stack, whatever the parity built
     monkeypatch.setattr(groups, "FIELD_ENTRY_BUDGET", len(betas) * 1785 - 1)
     with pytest.raises(ResourceError, match="%d entries" % (len(betas) * 1785)):
@@ -228,6 +230,29 @@ def test_a_stack_of_some_chains_is_the_full_stacks_entries_on_them_and_0_elsewhe
                                 assert got == full[two_j][:, row, col].tobytes()
                             else:
                                 assert got == np.zeros(len(betas)).tobytes()
+
+
+def test_the_seeds_are_those_of_the_chains_built(monkeypatch):
+    seeds = quadrature._d_seeds
+    seeded = []
+
+    def spying(tm, tn, cb, sb):
+        seeded.append(sorted(zip(tm.tolist(), tn.tolist())))
+        return seeds(tm, tn, cb, sb)
+
+    monkeypatch.setattr(quadrature, "_d_seeds", spying)
+    # a class-I SO(3) series at l <= 8 builds the column d^l_{m0}: 17 chains of the 289
+    cat = enumerate_dual(GroupSpec("so3"), 9.0)
+    field = project_class_one(synthesize_gevrey(cat, 2.0, 1.0, "dense"), ClassIStructure(cat))
+    sphere_series(field, ClassIStructure(cat), [(0.3, 1.1), (2.0, 0.5)])
+    assert seeded == [[(two_m, 0) for two_m in range(-16, 17, 2)]] and len(seeded[0]) == 17
+    # with no chain set, every chain of each parity asked for is seeded, once
+    for two_jmax, parities in ((13, (0, 1)), (13, (0,)), (13, (1,)), (16, (0,)), (0, (0, 1))):
+        seeded.clear()
+        wigner_d_all(two_jmax, np.array([0.4, math.pi]), parities)
+        twice = range(-two_jmax, two_jmax + 1)
+        assert seeded == [[(tm, tn) for tm in twice for tn in twice if tm % 2 == tn % 2 == p]
+                          for p in parities]
 
 
 def _seed_oracle(two_j, two_m, two_n, cb, sb):
