@@ -114,8 +114,9 @@ def _pairing_terms(seq, coeffs):
     _require_same_catalog(seq, coeffs)
     cat = seq.catalog
     keep = seq.present | coeffs.present
-    # Tr(a b) sums a_mn b_nm
-    terms = cat.dims * np.add.reduceat(coeffs.data * seq.data[cat.transposed], cat.offsets[:-1])
+    # Tr(a b) sums a_mn b_nm; a term past the double range is inf or NaN, and pair refuses it
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = cat.dims * np.add.reduceat(coeffs.data * seq.data[cat.transposed], cat.offsets[:-1])
     terms, mags, brackets = terms[keep], np.abs(terms[keep]), cat.brackets[keep]
     total = float(mags.sum())
     cut = brackets.max(initial=0.0) / 10.0
@@ -135,8 +136,7 @@ def pair(seq, coeffs):
     is not finite, or when the last decade of brackets still carries
     more than a 1e-8 relative share of it.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        terms, diag = _pairing_terms(seq, coeffs)
+    terms, diag = _pairing_terms(seq, coeffs)
     if not math.isfinite(diag.total_abs):
         raise IllPairedError("pairing terms are not finite (absolute mass %r)"
                              % diag.total_abs, diagnostic=diag.__dict__)

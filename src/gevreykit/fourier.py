@@ -24,7 +24,8 @@ import numpy as np
 from . import groups
 from .errors import (ContractViolation, DomainError, ResourceError, check_finite, check_in_range,
                      check_norm_exponent)
-from .quadrature import SPIN_PARITIES, band_for_catalog, d_stack_entries, tree_sum, wigner_d_all
+from .quadrature import (SPIN_PARITIES, _point_rows, band_for_catalog, d_stack_entries, tree_sum,
+                         wigner_d_all)
 
 SERIES_SLICE_ENTRIES = 1 << 18  # per array of an inverse_transform slice: 4 MB complex
 LOG_DBL_MAX = math.log(np.finfo(float).max)
@@ -129,10 +130,7 @@ class CoefficientField:
         z = z[ok] / peak
         out[ok] = peak * np.sqrt(z.real * z.real + z.imag * z.imag)
         for i in np.flatnonzero(self.present & (cat.dims > 1)).tolist():
-            try:
-                out[i] = hs_norm(self[cat.labels[i]])
-            except DomainError:  # refused below, naming the class
-                out[i] = math.inf
+            out[i] = _hs_norm(self[cat.labels[i]])
         out = np.where(self.present, out, 0.0)
         return check_in_range("class %r's HS norm" % (cat.labels[np.isfinite(out).argmin()],), out)
 
@@ -223,24 +221,6 @@ def inverse_on_grid(coeffs, grid):
     np.add.at(acc, (mi, slice(None), ni),
               (cat.entry_index[2] * (d * coeffs.data[cat.transposed])).T)
     return np.einsum("ma,mbn,ng->abg", np.conj(ea), acc, np.conj(eg))
-
-
-def _point_rows(points, width, refusal):
-    """The points as float rows of ``width`` angles, refused with DomainError
-    before any work: ``refusal.format(i)`` where point i is not such a row,
-    or where it has a non-finite angle."""
-    rows = np.empty((len(points), width))
-    for i, x in enumerate(points):
-        try:
-            row = np.atleast_1d(np.asarray(x, dtype=float))
-        except (TypeError, ValueError):
-            row = None
-        if row is None or row.shape != (width,):
-            raise DomainError(refusal.format(i))
-        if not np.isfinite(row).all():
-            raise DomainError("point %d has a non-finite angle" % i)
-        rows[i] = row
-    return rows
 
 
 def _slices(idx, width, entries=None):
@@ -386,14 +366,19 @@ def matrix_lp_norm(a, p):
     return check_in_range("p = %r" % p, peak * float(np.sum((a / peak) ** p) ** (1.0 / p)))
 
 
-def hs_norm(a):
-    """Hilbert-Schmidt norm, scaled against overflow; a norm past the double range is refused."""
+def _hs_norm(a):
+    """Unchecked hs_norm: inf past the double range; the peak |entry| if 0 or not finite."""
     a = np.asarray(a)
     peak = float(np.abs(a).max()) if a.size else 0.0
     if peak == 0.0 or not math.isfinite(peak):
         return peak
     peak = max(peak, DBL_TINY)
-    return check_in_range("the HS norm of this matrix", peak * float(np.linalg.norm(a / peak)))
+    return peak * float(np.linalg.norm(a / peak))
+
+
+def hs_norm(a):
+    """Hilbert-Schmidt norm; a non-finite block or a norm past the double range is refused."""
+    return check_in_range("the HS norm of this matrix", _hs_norm(a))
 
 
 def operator_norm(a):

@@ -176,16 +176,15 @@ def fit_decay(coeffs):
         raise InsufficientDataError(
             "need >= 3 nonzero brackets to fit, have %d" % len(brackets)
         )
-    fits = [_ls_line(brackets ** (1.0 / s), logs) for s in S_GRID]
-    r2s = np.array([r2 for _, _, r2 in fits])
+    r2s = np.array([_ls_line(brackets ** (1.0 / s), logs)[2] for s in S_GRID])
     idx = int(np.nonzero(r2s >= r2s.max() - 1e-12)[0][0])
-    slope, intercept, r2 = fits[idx]
-    return DecayModel(float(S_GRID[idx]), -slope, float(intercept), float(r2), len(brackets))
+    return _pinned(brackets, logs, float(S_GRID[idx]))
 
 
 def _pinned(brackets, logs, s):
+    """The decay model fitted at order s, or None below 3 brackets."""
     if len(brackets) < 3:
-        raise InsufficientDataError("need >= 3 nonzero brackets")
+        return None
     slope, intercept, r2 = _ls_line(brackets ** (1.0 / s), logs)
     return DecayModel(float(s), -slope, float(intercept), r2, len(brackets))
 
@@ -246,10 +245,7 @@ def fourier_side_test(coeffs, s, mode):
     flags = () if s >= 1 else ("s_below_duality_range",)
     brackets, logs, labels = bracket_profile(coeffs, hs)
     x = brackets ** (1.0 / s)
-    try:
-        model = _pinned(brackets, logs, s)
-    except InsufficientDataError:
-        model = None
+    model = _pinned(brackets, logs, s)
     if len(x) < 9:
         # Too little spectrum for tertile slopes; fall back to one fit.
         if model is None:

@@ -149,6 +149,24 @@ def wigner_d_all(two_jmax, beta, parities=(0, 1), chains=None):
 wigner_d_cached = wigner_d_all
 
 
+def _point_rows(points, width, refusal):
+    """The points as float rows of ``width`` angles, refused with DomainError
+    before any work: ``refusal.format(i)`` where point i is not such a row,
+    or where it has a non-finite angle."""
+    rows = np.empty((len(points), width))
+    for i, x in enumerate(points):
+        try:
+            row = np.atleast_1d(np.asarray(x, dtype=float))
+        except (TypeError, ValueError):
+            row = None
+        if row is None or row.shape != (width,):
+            raise DomainError(refusal.format(i))
+        if not np.isfinite(row).all():
+            raise DomainError("point %d has a non-finite angle" % i)
+        rows[i] = row
+    return rows
+
+
 def rep_matrix(spec, rep, angles):
     """Representation matrix of one catalog class at one group element.
 
@@ -156,12 +174,10 @@ def rep_matrix(spec, rep, angles):
     Euler triples (alpha, beta, gamma).
     """
     if spec.family == "torus":
-        x = np.atleast_1d(np.asarray(angles, dtype=float))
-        if x.shape != (spec.torus_dim,):
-            raise DomainError("torus element needs %d angles" % spec.torus_dim)
-        k = np.asarray(rep.label, dtype=float)
-        return np.array([[np.exp(1j * float(k @ x))]])
-    alpha, beta, gamma = (float(a) for a in angles)
+        x = _point_rows([angles], spec.torus_dim, "torus element needs %d angles" % spec.torus_dim)
+        return np.array([[np.exp(1j * float(np.asarray(rep.label, dtype=float) @ x[0]))]])
+    alpha, beta, gamma = _point_rows([angles], 3, "point {} is not an Euler triple "
+                                     "(alpha, beta, gamma)")[0].tolist()
     two_j = rep.dim - 1
     d = wigner_d_all(two_j, np.array([beta]), (two_j % 2,))[two_j][0]
     mvals = (two_j - 2 * np.arange(two_j + 1)) / 2.0

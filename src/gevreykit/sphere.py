@@ -17,9 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolation, DomainError
-from .fourier import CoefficientField, _point_rows, inverse_transform
+from .fourier import CoefficientField, inverse_transform
 from .gevrey import _check_order, _norm_mode, _verdict, fourier_side_test
 from .duality import ultra_membership_test
+from .quadrature import _point_rows
 
 LEAKAGE_TOL = 1e-12
 # looser: the classifiers take raw transforms of lifted samples, as check_sphere does

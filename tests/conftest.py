@@ -9,6 +9,7 @@ from gevreykit.verification import run_suite
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "gevreykit"
 QUICK_RESULTS = pytest.StashKey[list]()
 PIPELINE_SECONDS = pytest.StashKey[dict]()
+VERDICT_LEDGER = pytest.StashKey[dict]()
 
 
 @pytest.fixture(scope="session")
@@ -22,6 +23,12 @@ def quick_suite(request):
 def pipeline_seconds(request):
     """Seconds per README pipeline, filled by the tests that run them."""
     return request.config.stash.setdefault(PIPELINE_SECONDS, {})
+
+
+@pytest.fixture
+def verdict_ledger_wrong(request):
+    """The verdict ledger's count and wrong keys, filled by its test."""
+    return request.config.stash.setdefault(VERDICT_LEDGER, {})
 
 
 @pytest.fixture(autouse=True)
@@ -56,8 +63,9 @@ def _head_counts():
 def pytest_terminal_summary(terminalreporter, config):
     """One line of src/gevreykit line counts per module and in total, one of
     each module's change against git HEAD inside a git checkout and, when
-    the shared quick suite or the README pipelines ran, one line each of
-    their seconds; they report only and gate nothing."""
+    the shared quick suite, the README pipelines or the verdict ledger ran,
+    one line each of their seconds or wrong verdicts; they report only and
+    gate nothing."""
     counts = {p.stem: len(p.read_text().splitlines()) for p in sorted(SOURCE.glob("*.py"))}
     terminalreporter.write_line("src/gevreykit lines: %s; total %d" % (
         ", ".join("%s %d" % kv for kv in counts.items()), sum(counts.values())))
@@ -75,3 +83,11 @@ def pytest_terminal_summary(terminalreporter, config):
     if pipelines:
         terminalreporter.write_line("README pipeline seconds: %s" % (
             ", ".join("%s %.2f" % kv for kv in pipelines.items())))
+    ledger = config.stash.get(VERDICT_LEDGER, None)
+    if ledger:
+        sides = [k.split()[0] for k in ledger["wrong"]]
+        groups = [k.split()[1] for k in ledger["wrong"]]
+        terminalreporter.write_line("verdict ledger wrong of %d: %s; %s" % (
+            ledger["total"],
+            ", ".join("%s %d" % (v, sides.count(v)) for v in ("fourier", "space", "dual")),
+            ", ".join("%s %d" % (v, groups.count(v)) for v in ("T1", "T2", "SU2", "SO3"))))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -249,3 +250,17 @@ def test_pair_refuses_non_finite_terms():
     assert math.isnan(pairing_diagnostic(nan, big).tail_fraction)
     with pytest.raises(IllPairedError, match="not finite"):
         pair(nan, big)
+
+
+def test_pairing_diagnostic_is_as_quiet_as_pair():
+    # the 1e300 field above: its terms overflow, and neither call warns
+    cat = enumerate_dual(T1, 10.0)
+    big = CoefficientField(cat)
+    for rep in cat:
+        big[rep.label] = np.array([[1e300 + 0j]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        diag = pairing_diagnostic(big, big)
+        with pytest.raises(IllPairedError, match="not finite"):
+            pair(big, big)
+    assert diag.total_abs == math.inf and math.isnan(diag.tail_fraction)

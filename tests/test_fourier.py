@@ -220,6 +220,12 @@ def test_block_norms_past_the_double_range_are_refused_and_subnormal_ones_kept()
     assert hs[:2] == pytest.approx([5e-320, 2e-320], rel=1e-3, abs=0.0)
 
 
+@pytest.mark.parametrize("entry", [math.inf, math.nan, complex(1.0, -math.inf)])
+def test_hs_norm_refuses_a_non_finite_block(entry):
+    with pytest.raises(DomainError, match="the HS norm of this matrix"):
+        hs_norm(np.array([[1.0, entry], [0.0, 1.0]]))
+
+
 def test_cross_catalog_arithmetic_refused():
     rng = np.random.default_rng(14)
     a = _random_field(enumerate_dual(GroupSpec("su2"), 5.0), rng)
@@ -578,3 +584,15 @@ def test_inverse_transform_refuses_bad_points(monkeypatch, key, point, message):
     with pytest.raises(DomainError, match=message):
         inverse_transform(CoefficientField.identity(cat), [identity_element(cat.spec), point])
     assert calls == []
+
+
+@pytest.mark.parametrize("point,message", [
+    ((0, 1, 2, 3), "point 0 is not an Euler triple"),
+    ((0, math.nan, 0), "point 0 has a non-finite angle"),
+])
+def test_rep_matrix_refuses_the_points_inverse_transform_refuses(point, message):
+    cat = SERIES_CATALOGS["SU2"]
+    with pytest.raises(DomainError, match=message):
+        inverse_transform(CoefficientField.identity(cat), [point])
+    with pytest.raises(DomainError, match=message):
+        rep_matrix(cat.spec, cat.lookup((1,)), point)

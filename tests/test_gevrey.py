@@ -110,6 +110,20 @@ def test_short_spectrum_flagged():
     assert not fourier_side_test(coeffs, 1.0, "B").passed
 
 
+def test_fewer_than_three_brackets_give_insufficient_data():
+    # one bracket per SU(2) class: (1,), then (1,) and (2,), then three brackets
+    coeffs = CoefficientField(enumerate_dual(GroupSpec("su2"), 5.0))
+    for label in ((1,), (2,), (3,)):
+        coeffs[label] = 0.5 ** label[0] * np.eye(label[0] + 1)
+        for mode in ("R", "B"):
+            data = json.loads(verdict_to_json(fourier_side_test(coeffs, 2.0, mode)))
+            if label == (3,):
+                assert data["flags"] == ["short_spectrum"] and data["B"] is not None
+            else:
+                assert (data["pass"], data["flags"], data["witness_label"], data["B"]) == (
+                    False, ["insufficient_data"], list(label), None)
+
+
 def test_invalid_s_rejected():
     cat = enumerate_dual(T1, 50.0)
     coeffs = synthesize_gevrey(cat, 1.0, 1.0)
