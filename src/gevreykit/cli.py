@@ -237,8 +237,6 @@ def cmd_pair(args):
 
 def cmd_sphere(args):
     spec, cat = _catalog(args)
-    if spec.family != "so3":
-        raise ConfigurationError("sphere commands run on the so3 catalog")
     structure = ClassIStructure(cat)
     grid = build_grid(spec, band_for_catalog(cat))
     action = _opt(args, "action", required=True)

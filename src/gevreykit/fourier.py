@@ -17,7 +17,6 @@ class-I field on SO(3) reads the column d^l_{m0} alone.
 """
 
 import math
-from types import MappingProxyType
 
 import numpy as np
 
@@ -38,12 +37,12 @@ class CoefficientField:
     Storage is packed: ``data`` is one flat complex array holding class
     i's d x d block row-major at ``catalog.offsets[i]``, and ``present``
     marks the classes that hold a block; the entries of absent classes
-    are zero.  Missing labels mean the zero matrix.  ``field[label]`` and
-    the read-only ``blocks`` mapping hand out read-only views; write
-    through ``field[label] = mat``.  Two fields are compatible only when
-    built on the same catalog; cross-catalog arithmetic is refused
-    rather than zero-padded.  A catalog whose fields would hold more
-    than groups.FIELD_ENTRY_BUDGET entries is refused.
+    are zero.  Missing labels mean the zero matrix.  ``field[label]``
+    hands out a read-only view; write through ``field[label] = mat``.
+    Two fields are compatible only when built on the same catalog;
+    cross-catalog arithmetic is refused rather than zero-padded.  A
+    catalog whose fields would hold more than groups.FIELD_ENTRY_BUDGET
+    entries is refused.
     """
 
     def __init__(self, catalog, blocks=None, data=None, present=None):
@@ -86,12 +85,6 @@ class CoefficientField:
 
     def __contains__(self, label):
         return self.catalog.contains(label) and bool(self.present[self.catalog.position(label)])
-
-    @property
-    def blocks(self):
-        """Read-only mapping from stored labels to their blocks, built per
-        access; loops should index the field itself."""
-        return MappingProxyType({label: self[label] for label in self.labels()})
 
     def labels(self):
         """Labels with stored blocks, in catalog order."""

@@ -11,6 +11,7 @@ import gc
 import io
 import json
 import math
+import re
 from array import array
 from itertools import chain
 from operator import itemgetter
@@ -59,7 +60,6 @@ def _nogc(func):
     return paused
 
 
-@_nogc
 def field_to_jsonl(coeffs):
     """One line per stored class: {"label": [...], "matrix": [[[re, im], ...]]}.
 
@@ -100,11 +100,12 @@ def _parse_run(catalog, lines):
         if not (body.count("{") == body.count("}") == body.count("},\n{") + 1 == len(lines)
                 and body[0] == "{" and body[-1] == "}"):
             raise ValueError("not one flat JSON object per line")
-        # outside strings these only spell booleans, which would read as 1
-        # and 0; neither "u" nor "s" occurs in a number or a key we write
-        if ("u" in body and "true" in body) or ("s" in body and "false" in body):
-            raise ValueError("true or false in a record")
         recs = json.loads("[%s]" % body)
+        # outside strings these spell booleans, which would read as 1 and 0;
+        # neither "u" nor "s" occurs in a number or a key we write
+        if (("u" in body and "true" in body) or ("s" in body and "false" in body)) and any(
+                t[0] != '"' for t in re.findall(r'"(?:[^"\\]|\\.)*"|true|false', body)):
+            raise ValueError("true or false in a record")
         labels, mats = list(map(itemgetter("label"), recs)), list(map(itemgetter("matrix"), recs))
         if not set(map(type, chain.from_iterable(labels))) <= {int}:
             raise ValueError("label entries must be integers")

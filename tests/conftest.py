@@ -1,5 +1,6 @@
 import gc
 import subprocess
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -27,7 +28,8 @@ def pipeline_seconds(request):
 
 @pytest.fixture
 def verdict_ledger_wrong(request):
-    """The verdict ledger's count and wrong keys, filled by its test."""
+    """Each verdict ledger battery's count and wrong keys with their flags,
+    filled by its test."""
     return request.config.stash.setdefault(VERDICT_LEDGER, {})
 
 
@@ -83,11 +85,12 @@ def pytest_terminal_summary(terminalreporter, config):
     if pipelines:
         terminalreporter.write_line("README pipeline seconds: %s" % (
             ", ".join("%s %.2f" % kv for kv in pipelines.items())))
-    ledger = config.stash.get(VERDICT_LEDGER, None)
-    if ledger:
+    for battery, ledger in config.stash.get(VERDICT_LEDGER, {}).items():
         sides = [k.split()[0] for k in ledger["wrong"]]
         groups = [k.split()[1] for k in ledger["wrong"]]
-        terminalreporter.write_line("verdict ledger wrong of %d: %s; %s" % (
-            ledger["total"],
+        flags = Counter(f for fs in ledger["wrong"].values() for f in fs or ("none",))
+        terminalreporter.write_line("verdict ledger %s wrong of %d: %s; %s; flags %s" % (
+            battery, ledger["total"],
             ", ".join("%s %d" % (v, sides.count(v)) for v in ("fourier", "space", "dual")),
-            ", ".join("%s %d" % (v, groups.count(v)) for v in ("T1", "T2", "SU2", "SO3"))))
+            ", ".join("%s %d" % (v, groups.count(v)) for v in ("T1", "T2", "SU2", "SO3")),
+            ", ".join("%s %d" % kv for kv in sorted(flags.items()))))

@@ -528,6 +528,33 @@ def test_grid_transforms_match_the_full_stack_kernels_bit_for_bit(key, extra_ban
             assert back.data.tobytes() == _forward_oracle(grid, data, cat).tobytes()
 
 
+@pytest.mark.parametrize("band", [1, 4, 12, 14])
+def test_so3_grid_transforms_read_no_odd_phase_row(band):
+    """SO(3) entries have even 2m and 2n, so the grid transforms give the
+    same bytes on the even rows of the phase tables, ea[::2] and eg[::2],
+    with acc and t2 cut to those rows."""
+    cat = enumerate_dual(GroupSpec("so3"), math.sqrt(1 + band * (band + 1)) + 0.1)
+    grid = build_grid(cat.spec, band)
+    assert band_for_catalog(cat) == band
+    ea, eg, d, mi, ni = fourier._euler_entries(cat, grid)
+    ea, eg = ea[::2], eg[::2]
+    assert not (mi % 2).any() and not (ni % 2).any()
+    mi, ni = mi // 2, ni // 2
+    rng = np.random.default_rng(40 + band)
+    field = _random_field(cat, rng)
+    acc = np.zeros((len(ea), len(grid.beta), len(eg)), dtype=complex)
+    np.add.at(acc, (mi, slice(None), ni), (cat.entry_index[2] * (d * field.data[cat.transposed])).T)
+    samples = inverse_on_grid(field, grid)
+    assert samples.tobytes() == np.einsum(
+        "ma,mbn,ng->abg", np.conj(ea), acc, np.conj(eg)).tobytes()
+    noise = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    for data in (samples, noise):
+        t1 = np.einsum("ma,abg->mbg", ea, data) / len(grid.alpha)
+        t2 = np.einsum("ng,mbg->mbn", eg, t1) / len(grid.gamma)
+        coef = np.einsum("be,eb->e", 0.5 * grid.beta_weights[:, None] * d, t2[mi, :, ni])
+        assert forward_transform(grid, data, cat).data.tobytes() == coef[cat.transposed].tobytes()
+
+
 @pytest.mark.parametrize("key,entries,budget", [
     ("T2", 3 * 61, None), ("T3", 57, None), ("SO3", 6 * 17 * 17, 17 * 18 * 35 // 6)])
 def test_inverse_transform_slices_points_to_fit_the_slice_size(monkeypatch, key, entries, budget):

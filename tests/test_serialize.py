@@ -87,8 +87,7 @@ def test_decay_csv_rows():
     coeffs = synthesize_gevrey(cat, 1.0, 1.0)
     lines = decay_csv(coeffs).splitlines()
     assert lines[0] == "bracket,dim,hs_norm,log_hs_norm"
-    nonzero = sum(1 for l in coeffs.labels()
-                  if np.abs(coeffs.blocks[l]).max() > 0)
+    nonzero = sum(1 for l in coeffs.labels() if np.abs(coeffs[l]).max() > 0)
     assert len(lines) == 1 + nonzero
     first = lines[1].split(",")
     assert float(first[0]) == 1.0
@@ -214,7 +213,9 @@ def test_field_jsonl_refusals_name_their_line():
             ("[" * 200000, "not one flat JSON object"),
             ('{"label": %s, "matrix": %s}' % (deep, one), "recursion"),
             ('{"label": [0], "matrix": %s, "note": "}{"}' % one, "not one flat JSON object"),
-            ('{"label": [0], "matrix": %s, "seen": true}' % one, "true or false")):
+            ('{"label": [0], "matrix": %s, "seen": true}' % one, "true or false"),
+            ('{"label": [0], "matrix": %s, "seen": [1, "untrue", false]}' % one,
+             "true or false")):
         with pytest.raises(DataError, match="line 3: .*%s" % reason):
             field_from_jsonl(good + "\n" + bad + "\n" + good, cat)
 
@@ -315,6 +316,9 @@ def test_field_jsonl_reads_every_layout_the_format_allows():
                                    for r in recs)),
                 (floats, "\n".join(json.dumps(r, separators=(",", ":")) for r in recs)),
                 (floats, "\n".join(json.dumps(dict(r, note="x y", n=[1, 2.5])) for r in recs)),
+                # true and false inside a string are text, not booleans
+                (floats, "\n".join(json.dumps(dict(r, note="untrue", n=["falsetto"]))
+                                   for r in recs)),
                 (floats, text.replace("\n", "\r\n")),
                 (floats, "\n \n" + text.replace("\n", "\n\n\t\n") + "\n   "),
                 (whole, field_to_jsonl(whole).replace(".0", ""))):
